@@ -14,8 +14,12 @@ package model
 // hot paths can probe candidate events without cloning monitor state.
 // Step applies the event; it must veto exactly the events Check vetoes and
 // must leave the monitor unchanged when it returns an error (validate
-// first, then mutate). Fork returns an independent deep copy for search
-// procedures that genuinely branch, such as checker state expansion. Key
+// first, then mutate). Fork returns an independent copy for search
+// procedures that genuinely branch, such as checker state expansion, and
+// for checkpoints. Neither side ever observes the other's later steps,
+// but the copy may share per-transaction state copy-on-write, so Fork
+// counts as a mutation of the original: it must not run concurrently
+// with Step or with another Fork of the same monitor. Key
 // returns a compact serialization of the monitor state for memoization, or
 // "" to disable memoization across states containing this monitor.
 //
@@ -35,9 +39,13 @@ package model
 // monitor's per-transaction bookkeeping to cover them, with the new rows
 // in their never-started state. Growing is append-only — existing rows
 // are untouched — so a grown monitor behaves exactly like one
-// constructed over the extended system with the same events applied.
-// Grow must be serialized with Check/Step/Fork by the caller; executors
-// call it only while holding exclusive ownership of the monitor.
+// constructed over the extended system with the same events applied,
+// and so does a fork taken before the System.Add and grown after it. A
+// monitor may be grown lazily: only one that is about to be used needs
+// it. Grow costs time in the number of transactions added, not in the
+// number that exist. Grow must be serialized with Check/Step/Fork by
+// the caller; executors call it only while holding exclusive ownership
+// of the monitor.
 type Monitor interface {
 	Check(ev Ev) error
 	Step(ev Ev) error

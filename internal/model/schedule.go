@@ -43,9 +43,10 @@ func NewSystem(init State, txns ...Txn) *System {
 func (sys *System) Txn(t TID) Txn { return sys.Txns[int(t)] }
 
 // Add appends a transaction to the system and returns its TID. It is the
-// growth half of the session runtime's open protocol: after Add, every
+// growth half of the session runtime's open protocol: after Add, a
 // Monitor built over sys must be told to Grow before it sees an event of
-// the new transaction. The caller is responsible for serializing Add
+// the new transaction (it may be grown lazily, just before its first
+// use after the Add). The caller is responsible for serializing Add
 // with all concurrent readers of sys.Txns.
 func (sys *System) Add(t Txn) TID {
 	sys.Txns = append(sys.Txns, t)
@@ -448,9 +449,41 @@ func (s Schedule) Graph(sys *System) *SGraph {
 }
 
 // Serializable reports whether the schedule is (conflict-)serializable:
-// D(S) is acyclic.
+// D(S) is acyclic. Building D(S) itself costs time quadratic in the
+// steps on an entity, so it tests a subgraph with the same reachability
+// instead: per entity, a step gains edges only from the last conflicting
+// (not read-only) step before it and, if it conflicts itself, from the
+// read-only steps since that one. Every other edge of D(S) into the step
+// is implied through the last conflicting step's owner, by induction
+// over the entity's steps, so one graph has a cycle exactly when the
+// other does.
 func (s Schedule) Serializable(sys *System) bool {
-	return s.Graph(sys).Acyclic()
+	type frontier struct {
+		last    TID   // owner of the entity's last conflicting step
+		any     bool  // whether there is one
+		readers []TID // owners of read-only steps since it
+	}
+	g := NewSGraph(len(sys.Txns))
+	byEnt := make(map[Entity]*frontier)
+	for _, ev := range s {
+		f := byEnt[ev.S.Ent]
+		if f == nil {
+			f = &frontier{}
+			byEnt[ev.S.Ent] = f
+		}
+		if f.any {
+			g.AddEdge(f.last, ev.T)
+		}
+		if nonConflicting(ev.S.Op) {
+			f.readers = append(f.readers, ev.T)
+			continue
+		}
+		for _, r := range f.readers {
+			g.AddEdge(r, ev.T)
+		}
+		f.last, f.any, f.readers = ev.T, true, f.readers[:0]
+	}
+	return g.Acyclic()
 }
 
 // FinalState computes the structural state after executing the schedule,

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,53 +31,40 @@ func (Altruistic) Name() string { return "altruistic" }
 
 // NewMonitor returns a monitor enforcing AL1–AL3.
 func (Altruistic) NewMonitor(sys *model.System) model.Monitor {
-	n := len(sys.Txns)
-	m := &altruisticMonitor{
-		t:           newTracker(sys),
-		lockedPoint: make([]int, n),
-		unlocked:    make([]map[model.Entity]bool, n),
-		wake:        make([][]bool, n),
-	}
-	for i, tx := range sys.Txns {
-		m.lockedPoint[i] = tx.LockedPoint()
-		m.unlocked[i] = make(map[model.Entity]bool)
-		m.wake[i] = make([]bool, n)
-	}
+	m := &altruisticMonitor{t: newTracker(sys)}
+	m.Grow()
 	return m
 }
 
+// altruisticMonitor keeps, beside the tracker, each transaction's static
+// locked point and the donors whose wake it has entered. What Tj has
+// unlocked is read off the tracker (locked and no longer held: AL3 and
+// exclusive locks rule out a relock), so no per-transaction set is kept
+// for it.
 type altruisticMonitor struct {
-	t *tracker
-	// lockedPoint[i] is the static index just after Ti's last lock step.
-	lockedPoint []int
-	// unlocked[j] is the set of items Tj has unlocked so far.
-	unlocked []map[model.Entity]bool
-	// wake[i][j] records that Ti is currently in the wake of Tj.
-	wake [][]bool
+	t    *tracker
+	rows []altRow
+}
+
+// altRow is one transaction's altruistic bookkeeping.
+type altRow struct {
+	// lockedPoint is the static index just after the transaction's last
+	// lock step.
+	lockedPoint int
+	// wake lists, ascending, the donors Tj whose wake the transaction
+	// has entered. An entry for a donor at its locked point is
+	// dissolved: it is ignored rather than erased. The slice is never
+	// written in place (a new donor reallocates it), so forks share it.
+	wake []int
 }
 
 func (m *altruisticMonitor) Fork() model.Monitor {
-	n := len(m.wake)
-	c := &altruisticMonitor{
-		t:           m.t.clone(),
-		lockedPoint: m.lockedPoint, // static, shared
-		unlocked:    make([]map[model.Entity]bool, n),
-		wake:        make([][]bool, n),
-	}
-	for i := range m.unlocked {
-		c.unlocked[i] = make(map[model.Entity]bool, len(m.unlocked[i]))
-		for e := range m.unlocked[i] {
-			c.unlocked[i][e] = true
-		}
-		c.wake[i] = make([]bool, n)
-		copy(c.wake[i], m.wake[i])
-	}
-	return c
+	return &altruisticMonitor{t: m.t.clone(), rows: slices.Clone(m.rows)}
 }
 
 // atLockedPoint reports whether Tj has reached its locked point.
 func (m *altruisticMonitor) atLockedPoint(j int) bool {
-	return m.t.pos[j] >= m.lockedPoint[j]
+	return m.t.rows[j].pos >= m.rows[j].lockedPoint
 }
 
 // Check validates AL1–AL3 without mutating the monitor. Wake entry is
@@ -94,24 +82,25 @@ func (m *altruisticMonitor) Check(ev model.Ev) error {
 		return viol("X-only", "basic altruistic locking uses exclusive locks only")
 
 	case model.LockExclusive:
-		if m.t.lockedEver[i][st.Ent] {
+		if m.t.rows[i].lockedEver[st.Ent] {
 			return viol("AL3", "item locked twice")
 		}
 		// AL2: while in the wake of Tj — including the wakes this very
 		// lock would enter — everything Ti has locked, including this
 		// item, must have been unlocked by Tj.
-		for j := range m.wake[i] {
+		for j := range m.rows {
 			if j == i || m.atLockedPoint(j) {
 				continue
 			}
-			if !m.wake[i][j] && !m.unlocked[j][st.Ent] {
+			donated := m.t.donated(j, st.Ent)
+			if _, inWake := slices.BinarySearch(m.rows[i].wake, j); !donated && !inWake {
 				continue // not in Tj's wake, and this lock would not enter it
 			}
-			if !m.unlocked[j][st.Ent] {
+			if !donated {
 				return viol("AL2", "locked an item not donated by "+m.t.sys.Name(model.TID(j))+" while in its wake")
 			}
-			for e := range m.t.lockedEver[i] {
-				if !m.unlocked[j][e] {
+			for e := range m.t.rows[i].lockedEver {
+				if !m.t.donated(j, e) {
 					return viol("AL2", "previously locked item "+string(e)+" was not donated by "+m.t.sys.Name(model.TID(j)))
 				}
 			}
@@ -121,7 +110,7 @@ func (m *altruisticMonitor) Check(ev model.Ev) error {
 		// Always permitted.
 
 	case model.Insert, model.Delete, model.Read, model.Write:
-		if _, ok := m.t.held[i][st.Ent]; !ok {
+		if !m.t.holds(i, st.Ent) {
 			return viol("AL1", "operation without a lock")
 		}
 	}
@@ -132,76 +121,41 @@ func (m *altruisticMonitor) Step(ev model.Ev) error {
 	if err := m.Check(ev); err != nil {
 		return err
 	}
-	i := int(ev.T)
-	st := ev.S
-	switch st.Op {
-	case model.LockExclusive:
+	if ev.S.Op == model.LockExclusive {
+		i := int(ev.T)
 		// Entering wakes: locking an item donated by an active Tj puts
-		// Ti in Tj's wake.
-		for j := range m.wake[i] {
-			if j == i || m.atLockedPoint(j) {
+		// Ti in Tj's wake. A transaction reaching its locked point
+		// dissolves the wakes it anchors without a write: Check and Key
+		// skip donors at their locked point.
+		for j := range m.rows {
+			if j == i || m.atLockedPoint(j) || !m.t.donated(j, ev.S.Ent) {
 				continue
 			}
-			if m.unlocked[j][st.Ent] {
-				m.wake[i][j] = true
+			w := m.rows[i].wake
+			if k, in := slices.BinarySearch(w, j); !in {
+				m.rows[i].wake = slices.Insert(w[:len(w):len(w)], k, j)
 			}
 		}
-	case model.UnlockExclusive:
-		m.unlocked[i][st.Ent] = true
 	}
 	m.t.advance(ev)
-
-	// A transaction reaching its locked point dissolves all wakes it
-	// anchors (it can no longer donate: its lock set is final).
-	if st.Op.IsLock() && m.atLockedPoint(i) {
-		for k := range m.wake {
-			m.wake[k][i] = false
-		}
-	}
 	return nil
 }
 
-// Grow extends the per-transaction rows to cover appended transactions:
-// their locked points are computed from the declared bodies, their
-// unlocked sets start empty and they are in nobody's wake. Every row is
-// reallocated (including the nominally static locked points and the wake
-// columns) so sequentially grown forks never share growth.
+// Grow appends rows for appended transactions: their locked points are
+// computed from the declared bodies and they are in nobody's wake.
 func (m *altruisticMonitor) Grow() {
 	m.t.grow()
-	old := len(m.lockedPoint)
-	n := len(m.t.pos)
-	if n <= old {
-		return
+	for i := len(m.rows); i < len(m.t.rows); i++ {
+		m.rows = append(m.rows, altRow{lockedPoint: m.t.sys.Txns[i].LockedPoint()})
 	}
-	lp := make([]int, n)
-	copy(lp, m.lockedPoint)
-	for i := old; i < n; i++ {
-		lp[i] = m.t.sys.Txns[i].LockedPoint()
-	}
-	m.lockedPoint = lp
-	unlocked := make([]map[model.Entity]bool, n)
-	copy(unlocked, m.unlocked)
-	for i := old; i < n; i++ {
-		unlocked[i] = make(map[model.Entity]bool)
-	}
-	m.unlocked = unlocked
-	wake := make([][]bool, n)
-	for i := 0; i < n; i++ {
-		wake[i] = make([]bool, n)
-		if i < old {
-			copy(wake[i], m.wake[i])
-		}
-	}
-	m.wake = wake
 }
 
-// Footprint: LX is global — rule AL2 reads every transaction's unlocked
-// set and position, wake entry writes the requester's wake row, and
-// reaching a locked point clears the requester's column in *every* row.
-// UX writes only the unlocker's own unlocked set (read elsewhere solely
-// by the global LX evaluations), data operations read only the event's
-// own held set (AL1), and LS/US are vetoed by the X-only rule without
-// reading mutable state — all local.
+// Footprint: LX is global — rule AL2 reads every transaction's held and
+// locked-ever sets and position, and wake entry writes the requester's
+// wake row. UX writes only the unlocker's own tracker row (read
+// elsewhere solely by the global LX evaluations), data operations read
+// only the event's own held set (AL1), and LS/US are vetoed by the
+// X-only rule without reading mutable state — all local.
 func (m *altruisticMonitor) Footprint(ev model.Ev) model.Footprint {
 	if ev.S.Op == model.LockExclusive {
 		return model.GlobalFootprint()
@@ -209,15 +163,15 @@ func (m *altruisticMonitor) Footprint(ev model.Ev) model.Footprint {
 	return model.LocalFootprint(ev)
 }
 
-// Key: positions determine locked points, held sets and unlocked sets, but
-// the wake relation depends on event order, so it is part of the key.
+// Key: positions determine locked points and held and locked-ever sets,
+// but the wake relation depends on event order, so it is part of the key.
 func (m *altruisticMonitor) Key() string {
 	var b strings.Builder
 	b.WriteString(m.t.posKey())
 	b.WriteByte('|')
-	for i := range m.wake {
-		for j, w := range m.wake[i] {
-			if w {
+	for i := range m.rows {
+		for _, j := range m.rows[i].wake {
+			if !m.atLockedPoint(j) {
 				b.WriteString(strconv.Itoa(i))
 				b.WriteByte('w')
 				b.WriteString(strconv.Itoa(j))
@@ -226,10 +180,4 @@ func (m *altruisticMonitor) Key() string {
 		}
 	}
 	return b.String()
-}
-
-// InWake reports whether Ti is currently in the wake of Tj; the
-// figure-walkthrough experiment uses it to narrate the Fig. 4 scenario.
-func (m *altruisticMonitor) InWake(i, j model.TID) bool {
-	return m.wake[int(i)][int(j)]
 }

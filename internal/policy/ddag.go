@@ -85,7 +85,7 @@ func isEdgeEntity(e model.Entity) (a, b graph.Node, ok bool) {
 // firstNodeLock reports whether T has not yet locked any node entity (edge
 // entity locks do not count for L4).
 func (m *ddagMonitor) firstNodeLock(i int) bool {
-	for e := range m.t.lockedEver[i] {
+	for e := range m.t.rows[i].lockedEver {
 		if !strings.Contains(string(e), "->") {
 			return false
 		}
@@ -140,16 +140,16 @@ func (m *ddagMonitor) Check(ev model.Ev) error {
 		if a, b, isEdge := isEdgeEntity(st.Ent); isEdge {
 			// Edge-entity lock: permitted only while holding both
 			// endpoints (it accompanies an edge operation).
-			if _, ok := m.t.held[i][model.Entity(a)]; !ok {
+			if !m.t.holds(i, model.Entity(a)) {
 				return viol("L1", "edge lock without a lock on endpoint "+string(a))
 			}
-			if _, ok := m.t.held[i][model.Entity(b)]; !ok {
+			if !m.t.holds(i, model.Entity(b)) {
 				return viol("L1", "edge lock without a lock on endpoint "+string(b))
 			}
 			break
 		}
 		n := graph.Node(st.Ent)
-		if m.t.lockedEver[i][st.Ent] {
+		if m.t.rows[i].lockedEver[st.Ent] {
 			return viol("L3", "node locked twice")
 		}
 		if m.firstNodeLock(i) {
@@ -162,10 +162,10 @@ func (m *ddagMonitor) Check(ev model.Ev) error {
 		holdsOne := false
 		for _, p := range m.g.Preds(n) {
 			pe := model.Entity(p)
-			if !m.t.lockedEver[i][pe] {
+			if !m.t.rows[i].lockedEver[pe] {
 				return viol("L5", "predecessor "+string(p)+" was never locked")
 			}
-			if _, ok := m.t.held[i][pe]; ok {
+			if m.t.holds(i, pe) {
 				holdsOne = true
 			}
 		}
@@ -230,7 +230,7 @@ func (m *ddagMonitor) Check(ev model.Ev) error {
 }
 
 func (m *ddagMonitor) requireHeld(ev model.Ev, e model.Entity) error {
-	if _, ok := m.t.held[int(ev.T)][e]; !ok {
+	if !m.t.holds(int(ev.T), e) {
 		return &Violation{"DDAG", "L1", ev, "operation without a lock on " + string(e)}
 	}
 	return nil
@@ -238,10 +238,10 @@ func (m *ddagMonitor) requireHeld(ev model.Ev, e model.Entity) error {
 
 func (m *ddagMonitor) requireEndpoints(ev model.Ev, a, b graph.Node) error {
 	i := int(ev.T)
-	if _, ok := m.t.held[i][model.Entity(a)]; !ok {
+	if !m.t.holds(i, model.Entity(a)) {
 		return &Violation{"DDAG", "L1", ev, "edge operation without a lock on " + string(a)}
 	}
-	if _, ok := m.t.held[i][model.Entity(b)]; !ok {
+	if !m.t.holds(i, model.Entity(b)) {
 		return &Violation{"DDAG", "L1", ev, "edge operation without a lock on " + string(b)}
 	}
 	return nil

@@ -89,16 +89,16 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 	switch st.Op {
 	case model.LockShared, model.LockExclusive:
 		if a, b, isEdge := isEdgeEntity(st.Ent); isEdge {
-			if _, ok := in.t.held[i][model.Entity(a)]; !ok {
+			if !in.t.holds(i, model.Entity(a)) {
 				return viol("L1", "edge lock without a lock on endpoint "+string(a))
 			}
-			if _, ok := in.t.held[i][model.Entity(b)]; !ok {
+			if !in.t.holds(i, model.Entity(b)) {
 				return viol("L1", "edge lock without a lock on endpoint "+string(b))
 			}
 			break
 		}
 		n := graph.Node(st.Ent)
-		if in.t.lockedEver[i][st.Ent] {
+		if in.t.rows[i].lockedEver[st.Ent] {
 			return viol("L3", "node locked twice")
 		}
 		if in.firstNodeLock(i) {
@@ -117,10 +117,10 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 		holdsOne := false
 		for _, p := range preds {
 			pe := model.Entity(p)
-			if !in.t.lockedEver[i][pe] {
+			if !in.t.rows[i].lockedEver[pe] {
 				return viol("L5", "predecessor "+string(p)+" was never locked")
 			}
-			if _, ok := in.t.held[i][pe]; ok {
+			if in.t.holds(i, pe) {
 				holdsOne = true
 			}
 		}
@@ -138,7 +138,7 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 			}
 			break
 		}
-		if _, ok := in.t.held[i][st.Ent]; !ok {
+		if !in.t.holds(i, st.Ent) {
 			return viol("L1", "READ without a lock")
 		}
 
@@ -147,13 +147,13 @@ func (m *ddagSXMonitor) Check(ev model.Ev) error {
 		// monitor (no-reinsert, acyclicity, lock presence), but
 		// additionally demand exclusive mode on the target(s).
 		if a, b, isEdge := isEdgeEntity(st.Ent); isEdge {
-			if mmode, ok := in.t.held[i][model.Entity(a)]; !ok || mmode != model.Exclusive {
+			if mmode, ok := in.t.rows[i].held[model.Entity(a)]; !ok || mmode != model.Exclusive {
 				return viol("L1", "structural edge operation without an exclusive lock on "+string(a))
 			}
-			if mmode, ok := in.t.held[i][model.Entity(b)]; !ok || mmode != model.Exclusive {
+			if mmode, ok := in.t.rows[i].held[model.Entity(b)]; !ok || mmode != model.Exclusive {
 				return viol("L1", "structural edge operation without an exclusive lock on "+string(b))
 			}
-		} else if mmode, ok := in.t.held[i][st.Ent]; !ok || mmode != model.Exclusive {
+		} else if mmode, ok := in.t.rows[i].held[st.Ent]; !ok || mmode != model.Exclusive {
 			return viol("L1", st.Op.String()+" without an exclusive lock")
 		}
 		if err := in.Check(ev); err != nil {

@@ -237,7 +237,7 @@ func (m *dtrMonitor) validate(ev model.Ev) (*graph.Forest, error) {
 		return nil, viol("X-only", "the DTR policy of Section 6 uses exclusive locks only")
 	}
 	if st.Op.IsData() {
-		if _, ok := m.t.held[i][st.Ent]; !ok {
+		if !m.t.holds(i, st.Ent) {
 			return nil, viol("lock-first", "operation without a lock")
 		}
 	}

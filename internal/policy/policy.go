@@ -23,7 +23,8 @@ package policy
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -51,92 +52,105 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("%s: rule %s violated by %s: %s", v.Policy, v.Rule, v.Ev, v.Why)
 }
 
-// tracker is the bookkeeping shared by all monitors: per-transaction
-// positions, held locks and locked-ever sets.
+// tracker is the bookkeeping shared by all monitors: one row per
+// transaction with its position, held locks and locked-ever set.
+//
+// The transaction population of a long-lived executor only grows, so
+// neither growing nor forking may cost a pass over every row's
+// contents. Rows are appended in place, and a row's maps stay nil until
+// the transaction first locks. A fork copies the row headers only and
+// shares the maps: both sides mark every row shared, and the first
+// advance of a shared row copies its maps before writing.
 type tracker struct {
-	sys        *model.System
-	pos        []int
-	held       []map[model.Entity]model.Mode
-	lockedEver []map[model.Entity]bool
+	sys  *model.System
+	rows []row
+}
+
+// row is one transaction's tracker bookkeeping. shared marks maps that
+// another tracker may still read; advance copies them before writing.
+type row struct {
+	pos        int
+	held       map[model.Entity]model.Mode
+	lockedEver map[model.Entity]bool
+	shared     bool
 }
 
 func newTracker(sys *model.System) *tracker {
-	t := &tracker{
-		sys:        sys,
-		pos:        make([]int, len(sys.Txns)),
-		held:       make([]map[model.Entity]model.Mode, len(sys.Txns)),
-		lockedEver: make([]map[model.Entity]bool, len(sys.Txns)),
-	}
-	for i := range sys.Txns {
-		t.held[i] = make(map[model.Entity]model.Mode)
-		t.lockedEver[i] = make(map[model.Entity]bool)
-	}
+	t := &tracker{sys: sys}
+	t.grow()
 	return t
 }
 
+// clone returns a tracker that shares every row's maps with t copy-on-
+// write. It writes t's shared flags, so like advance it needs exclusive
+// ownership of t.
 func (t *tracker) clone() *tracker {
-	c := &tracker{
-		sys:        t.sys,
-		pos:        make([]int, len(t.pos)),
-		held:       make([]map[model.Entity]model.Mode, len(t.held)),
-		lockedEver: make([]map[model.Entity]bool, len(t.lockedEver)),
+	for i := range t.rows {
+		t.rows[i].shared = true
 	}
-	copy(c.pos, t.pos)
-	for i := range t.held {
-		c.held[i] = make(map[model.Entity]model.Mode, len(t.held[i]))
-		for e, m := range t.held[i] {
-			c.held[i][e] = m
-		}
-		c.lockedEver[i] = make(map[model.Entity]bool, len(t.lockedEver[i]))
-		for e := range t.lockedEver[i] {
-			c.lockedEver[i][e] = true
-		}
-	}
-	return c
+	return &tracker{sys: t.sys, rows: slices.Clone(t.rows)}
 }
 
-// grow extends the per-transaction rows to cover transactions appended
-// to the system since construction (or the last grow), leaving existing
-// rows untouched. The rows are reallocated rather than appended in place
-// so that forks sharing a backing array (checkpoint monitors grown in
-// sequence) can never observe each other's growth.
+// grow appends never-started rows for transactions added to the system
+// since construction (or the last grow), leaving existing rows
+// untouched. Each tracker owns its row slice — clone copies it — so
+// appending in place is invisible to forks.
 func (t *tracker) grow() {
-	n := len(t.sys.Txns)
-	if n <= len(t.pos) {
-		return
+	for len(t.rows) < len(t.sys.Txns) {
+		t.rows = append(t.rows, row{})
 	}
-	pos := make([]int, n)
-	copy(pos, t.pos)
-	held := make([]map[model.Entity]model.Mode, n)
-	copy(held, t.held)
-	lockedEver := make([]map[model.Entity]bool, n)
-	copy(lockedEver, t.lockedEver)
-	for i := len(t.pos); i < n; i++ {
-		held[i] = make(map[model.Entity]model.Mode)
-		lockedEver[i] = make(map[model.Entity]bool)
-	}
-	t.pos, t.held, t.lockedEver = pos, held, lockedEver
 }
 
 // advance applies the event's effect on positions, held locks and
-// locked-ever sets. It must be called after a monitor accepts the event.
+// locked-ever sets. It must be called after a monitor accepts the event,
+// and it writes only the event's own row.
 func (t *tracker) advance(ev model.Ev) {
-	i := int(ev.T)
-	t.pos[i]++
-	switch {
-	case ev.S.Op.IsLock():
-		t.held[i][ev.S.Ent] = ev.S.Op.LockMode()
-		t.lockedEver[i][ev.S.Ent] = true
-	case ev.S.Op.IsUnlock():
-		delete(t.held[i], ev.S.Ent)
+	r := &t.rows[ev.T]
+	r.pos++
+	lock, unlock := ev.S.Op.IsLock(), ev.S.Op.IsUnlock()
+	if !lock && !unlock {
+		return
 	}
+	if r.shared {
+		r.held, r.lockedEver, r.shared = maps.Clone(r.held), maps.Clone(r.lockedEver), false
+	}
+	if unlock {
+		delete(r.held, ev.S.Ent)
+		return
+	}
+	if r.held == nil {
+		r.held = make(map[model.Entity]model.Mode)
+		r.lockedEver = make(map[model.Entity]bool)
+	}
+	r.held[ev.S.Ent] = ev.S.Op.LockMode()
+	r.lockedEver[ev.S.Ent] = true
+}
+
+// holds reports whether transaction i currently holds a lock on e.
+func (t *tracker) holds(i int, e model.Entity) bool {
+	_, ok := t.rows[i].held[e]
+	return ok
+}
+
+// released reports whether transaction i has released a lock: every
+// entity it locked is held until its unlock, so some is missing from
+// the held set exactly when an unlock has run.
+func (t *tracker) released(i int) bool {
+	return len(t.rows[i].held) < len(t.rows[i].lockedEver)
+}
+
+// donated reports whether transaction i has unlocked e. It relies on
+// the lock-once rule of the policies that ask: a locked entity that is
+// no longer held was unlocked and never locked again.
+func (t *tracker) donated(i int, e model.Entity) bool {
+	return t.rows[i].lockedEver[e] && !t.holds(i, e)
 }
 
 // started reports whether transaction i has executed at least one event.
-func (t *tracker) started(i int) bool { return t.pos[i] > 0 }
+func (t *tracker) started(i int) bool { return t.rows[i].pos > 0 }
 
 // finished reports whether transaction i has executed all its events.
-func (t *tracker) finished(i int) bool { return t.pos[i] >= t.sys.Txns[i].Len() }
+func (t *tracker) finished(i int) bool { return t.rows[i].pos >= t.sys.Txns[i].Len() }
 
 // active reports whether transaction i has started but not finished.
 func (t *tracker) active(i int) bool { return t.started(i) && !t.finished(i) }
@@ -144,11 +158,8 @@ func (t *tracker) active(i int) bool { return t.started(i) && !t.finished(i) }
 // anyHolds reports whether any transaction other than self currently holds
 // a lock on e (self < 0 checks all transactions).
 func (t *tracker) anyHolds(e model.Entity, self int) bool {
-	for i := range t.held {
-		if i == self {
-			continue
-		}
-		if _, ok := t.held[i][e]; ok {
+	for i := range t.rows {
+		if i != self && t.holds(i, e) {
 			return true
 		}
 	}
@@ -159,22 +170,13 @@ func (t *tracker) anyHolds(e model.Entity, self int) bool {
 // is a function of positions this is a complete memoization key.
 func (t *tracker) posKey() string {
 	var b strings.Builder
-	for i, p := range t.pos {
+	for i, r := range t.rows {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(strconv.Itoa(p))
+		b.WriteString(strconv.Itoa(r.pos))
 	}
 	return b.String()
-}
-
-func sortedEntities(set map[model.Entity]bool) []model.Entity {
-	out := make([]model.Entity, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // DTRForest returns the current database forest of a DTR monitor, or nil

@@ -62,21 +62,21 @@ func (m *treeMonitor) Check(ev model.Ev) error {
 		if _, _, isEdge := isEdgeEntity(st.Ent); isEdge {
 			return viol("nodes-only", "only tree nodes are lockable")
 		}
-		if m.t.lockedEver[i][st.Ent] {
+		if m.t.rows[i].lockedEver[st.Ent] {
 			return viol("lock-once", "node locked twice")
 		}
-		if len(m.t.lockedEver[i]) == 0 {
+		if len(m.t.rows[i].lockedEver) == 0 {
 			break // first lock: any node
 		}
 		p, ok := m.parent[graph.Node(st.Ent)]
 		if !ok {
 			return viol("parent-held", "non-first lock of a root (or unknown node)")
 		}
-		if _, held := m.t.held[i][model.Entity(p)]; !held {
+		if !m.t.holds(i, model.Entity(p)) {
 			return viol("parent-held", "parent "+string(p)+" is not currently locked")
 		}
 	case model.Read, model.Write:
-		if _, ok := m.t.held[i][st.Ent]; !ok {
+		if !m.t.holds(i, st.Ent) {
 			return viol("lock-first", "operation without a lock")
 		}
 	}

@@ -14,27 +14,24 @@ func (TwoPhase) Name() string { return "2PL" }
 // NewMonitor returns a monitor enforcing the two-phase rule per
 // transaction.
 func (TwoPhase) NewMonitor(sys *model.System) model.Monitor {
-	return &twoPhaseMonitor{
-		t:        newTracker(sys),
-		unlocked: make([]bool, len(sys.Txns)),
-	}
+	return &twoPhaseMonitor{t: newTracker(sys)}
 }
 
+// twoPhaseMonitor keeps nothing beyond the tracker: whether a
+// transaction has released a lock is read off its held and locked-ever
+// sets.
 type twoPhaseMonitor struct {
-	t        *tracker
-	unlocked []bool // has the transaction released any lock yet?
+	t *tracker
 }
 
 func (m *twoPhaseMonitor) Fork() model.Monitor {
-	c := &twoPhaseMonitor{t: m.t.clone(), unlocked: make([]bool, len(m.unlocked))}
-	copy(c.unlocked, m.unlocked)
-	return c
+	return &twoPhaseMonitor{t: m.t.clone()}
 }
 
 // Check vetoes a lock acquired after an unlock, without mutating the
 // monitor.
 func (m *twoPhaseMonitor) Check(ev model.Ev) error {
-	if ev.S.Op.IsLock() && m.unlocked[int(ev.T)] {
+	if ev.S.Op.IsLock() && m.t.released(int(ev.T)) {
 		return &Violation{"2PL", "two-phase", ev, "lock acquired after an unlock"}
 	}
 	return nil
@@ -44,28 +41,19 @@ func (m *twoPhaseMonitor) Step(ev model.Ev) error {
 	if err := m.Check(ev); err != nil {
 		return err
 	}
-	if ev.S.Op.IsUnlock() {
-		m.unlocked[int(ev.T)] = true
-	}
 	m.t.advance(ev)
 	return nil
 }
 
-// Grow extends the unlocked flags (and the tracker) to cover appended
-// transactions; new transactions have released nothing.
-func (m *twoPhaseMonitor) Grow() {
-	m.t.grow()
-	for len(m.unlocked) < len(m.t.pos) {
-		m.unlocked = append(m.unlocked, false)
-	}
-}
+// Grow extends the tracker to cover appended transactions.
+func (m *twoPhaseMonitor) Grow() { m.t.grow() }
 
 // Footprint is local: the two-phase rule reads and writes only the
-// event's own transaction's unlocked flag and tracker row.
+// event's own transaction's tracker row.
 func (m *twoPhaseMonitor) Footprint(ev model.Ev) model.Footprint {
 	return model.LocalFootprint(ev)
 }
 
-// Key is the position vector: the unlocked flags are a function of each
-// transaction's executed prefix.
+// Key is the position vector: held and locked-ever sets are a function
+// of each transaction's executed prefix.
 func (m *twoPhaseMonitor) Key() string { return m.t.posKey() }

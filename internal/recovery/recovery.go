@@ -23,7 +23,9 @@
 //     structural state produced by replaying the current log from the
 //     initial state.
 //   - Checkpoint n is the monitor/state after the first n log events;
-//     ckpts[0] is the initial state and is never discarded.
+//     ckpts[0] is the initial state and is never discarded. A
+//     checkpoint monitor covers the transactions that existed when it
+//     was taken; Compact grows its fork before replaying.
 //   - Compact only removes events; victims only grow across a cascade
 //     (the caller re-invokes Compact with the grown set), so the cascade
 //     loop converges.
@@ -233,19 +235,17 @@ func (c *Core) Checkpoints() int { return len(c.ckpts) }
 
 // Grow extends the Core to cover transactions appended to the system it
 // executes (System.Add) since construction or the last Grow: the
-// per-transaction event indices gain empty rows and the live monitor
-// *and every retained checkpoint monitor* are grown, so a later Compact
-// that rolls back to a pre-growth snapshot can still replay the new
-// transactions' suffix events. txns is the new total transaction count.
-// Like every other mutator, Grow requires exclusive ownership.
+// per-transaction event indices gain empty rows and the live monitor is
+// grown. Checkpoint monitors are left as they were taken and grown
+// lazily: Compact grows the fork it replays from, so growth costs the
+// same however many checkpoints are retained. txns is the new total
+// transaction count. Like every other mutator, Grow requires exclusive
+// ownership.
 func (c *Core) Grow(txns int) {
 	for len(c.evIdx) < txns {
 		c.evIdx = append(c.evIdx, nil)
 	}
 	c.monitor.Grow()
-	for i := range c.ckpts {
-		c.ckpts[i].monitor.Grow()
-	}
 }
 
 // Append records one executed event: it advances the monitor (returning
@@ -388,7 +388,10 @@ func (c *Core) Compact(victims map[int]bool) (ok bool, cascade int) {
 	}
 	ck := c.ckpts[ci]
 	state := ck.state.Clone()
+	// The checkpoint may predate transactions opened since (Grow leaves
+	// checkpoints alone); growing the fork covers their suffix events.
 	monitor := ck.monitor.Fork()
+	monitor.Grow()
 	suffix := make(model.Schedule, 0, len(c.log)-ck.n)
 	sufTags := make([]uint64, 0, len(c.log)-ck.n)
 	// Snapshot at the usual interval while replaying, so a later abort in

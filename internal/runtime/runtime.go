@@ -307,8 +307,8 @@ const maxStripeBuf = 8
 // detector that sees every edge — and translate their local transaction
 // indices to engine-wide owner ids through glob. The mapping is
 // append-only: registrations append under the partition's full gate
-// drain via a copy-on-write swap, and lock calls (which run before any
-// stripe is held) read it with an atomic load.
+// drain and publish the longer slice header, and lock calls (which run
+// before any stripe is held) read it with an atomic load.
 type lockSpace struct {
 	m    *lockmgr.Manager
 	glob atomic.Pointer[[]int] // local txn index -> owner id; nil = identity
@@ -327,15 +327,15 @@ func sharedLockSpace(m *lockmgr.Manager) *lockSpace {
 
 // register appends the owner id of the next local transaction index.
 // No-op in identity mode. Callers in translation mode hold the
-// partition's full drain, which serializes registrations.
+// partition's full drain, which serializes registrations. The append
+// writes into spare capacity past every published header's length,
+// where no reader indexes, so the table is not copied on every call.
 func (ls *lockSpace) register(owner int) {
 	p := ls.glob.Load()
 	if p == nil {
 		return
 	}
-	next := make([]int, len(*p)+1)
-	copy(next, *p)
-	next[len(*p)] = owner
+	next := append(*p, owner)
 	ls.glob.Store(&next)
 }
 
@@ -359,10 +359,11 @@ type runner struct {
 	cfg  Config
 	mgr  *lockSpace
 	gate *gate
-	// fpMon is a dedicated monitor instance consulted only for
+	// fpMon is a monitor over an empty system consulted only for
 	// Footprint, which is pure (static configuration + the event), so
-	// it can be called before any stripe is held. The *live* monitor
-	// object is replaced by compaction and must not be touched unlocked.
+	// it can be called before any stripe is held and never needs to
+	// grow. The *live* monitor object is replaced by compaction and
+	// must not be touched unlocked.
 	fpMon model.Monitor
 
 	sem chan struct{} // MPL admission; nil = unbounded
@@ -482,7 +483,7 @@ func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
 		sys:        sys,
 		cfg:        cfg,
 		gate:       newGate(cfg.GateStripes),
-		fpMon:      cfg.Policy.NewMonitor(sys),
+		fpMon:      cfg.Policy.NewMonitor(model.NewSystem(sys.Init)),
 		rec:        recovery.New(len(sys.Txns), sys.Init, cfg.Policy.NewMonitor(sys), cfg.CheckpointEvery),
 		status:     make([]txnStatus, len(sys.Txns)),
 		gen:        make([]int, len(sys.Txns)),

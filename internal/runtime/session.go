@@ -362,15 +362,14 @@ func (e *Engine) release(s *Session) {
 }
 
 // addTxnDrained appends one transaction row to the runner: the system,
-// the recovery core, the footprint monitor and every per-transaction
-// bookkeeping slice grow in lockstep, and the lock-owner mapping learns
-// the row's engine-wide owner id (no-op for standalone engines). mirror
-// marks a row registered on behalf of a cross-partition transaction.
+// the recovery core and every per-transaction bookkeeping slice grow in
+// lockstep, and the lock-owner mapping learns the row's engine-wide
+// owner id (no-op for standalone engines). mirror marks a row
+// registered on behalf of a cross-partition transaction.
 // Called with a full drain held, sequencer flushed.
 func (r *runner) addTxnDrained(tx model.Txn, owner int, mirror bool) int {
 	t := int(r.sys.Add(tx))
 	r.rec.Grow(len(r.sys.Txns))
-	r.fpMon.Grow()
 	r.status = append(r.status, txActive)
 	r.gen = append(r.gen, 0)
 	r.attempts = append(r.attempts, 0)

@@ -252,7 +252,7 @@ func TestSessionTraceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", arm.name, seed, err)
 			}
-			got, err := driveSessions(sys, sched, cfg, arm.commit)
+			got, err := driveSessions(sys, sched, cfg, arm.commit, false)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", arm.name, seed, err)
 			}
@@ -264,18 +264,132 @@ func TestSessionTraceEquivalence(t *testing.T) {
 	}
 }
 
+// TestSessionGrowEquivalence is TestSessionTraceEquivalence with lazy
+// opens: each session is opened just before its transaction's first
+// event. Opens then interleave with checkpoints, so an abort compacts
+// back to checkpoints taken before some replayed transactions existed,
+// and the fork of such a checkpoint is grown only then. Every policy
+// has an arm on bodies that follow its rules; the abort-heavy arms run
+// random bodies under rules they mostly break, so victims and cascades
+// are common.
+func TestSessionGrowEquivalence(t *testing.T) {
+	pc := workload.PolicyConfig{Txns: 12, OpsPerTxn: 3, Entities: 6, PRelease: 0.6, PStructural: 0.25}
+	dc := workload.DDAGConfig{PolicyConfig: pc, Layers: 3, Width: 2}
+	conforming := func(gen func(*rand.Rand) *model.System) func(*rand.Rand) (*model.System, model.Schedule) {
+		return func(rng *rand.Rand) (*model.System, model.Schedule) {
+			sys := gen(rng)
+			return sys, randomLegalPrefix(rng, sys)
+		}
+	}
+	twoPhase := conforming(func(rng *rand.Rand) *model.System { return workload.TwoPhaseSystemRandom(rng, pc) })
+	ddag := conforming(func(rng *rand.Rand) *model.System {
+		sys, _ := workload.DDAGSystem(rng, dc)
+		return sys
+	})
+	ddagSX := conforming(func(rng *rand.Rand) *model.System {
+		sys, _ := workload.DDAGSXSystem(rng, dc, 0.5)
+		return sys
+	})
+	random := func(structural float64) func(*rand.Rand) (*model.System, model.Schedule) {
+		c := workload.DefaultConfig()
+		c.Txns, c.Steps, c.PStructural = 12, 60, structural
+		return func(rng *rand.Rand) (*model.System, model.Schedule) { return workload.Random(rng, c) }
+	}
+	arms := []struct {
+		name   string
+		pol    policy.Policy
+		gen    func(*rand.Rand) (*model.System, model.Schedule)
+		commit bool
+		aborts bool // the arm must abort some transactions
+	}{
+		{"2PL", policy.TwoPhase{}, twoPhase, true, false},
+		// The tree policy runs DDAG walks; its static rules veto some.
+		{"tree", policy.Tree{}, ddag, true, true},
+		{"DDAG", policy.DDAG{}, ddag, true, false},
+		{"DDAG-SX", policy.DDAGSX{}, ddagSX, true, false},
+		{"altruistic", policy.Altruistic{}, conforming(func(rng *rand.Rand) *model.System { return workload.AltruisticSystem(rng, pc) }), false, false},
+		{"DTR", policy.DTR{}, conforming(func(rng *rand.Rand) *model.System { return workload.DTRSystem(rng, pc) }), true, false},
+		{"unrestricted", policy.Unrestricted{}, twoPhase, true, false},
+		{"2PL-aborts", policy.TwoPhase{}, random(0), true, true},
+		{"altruistic-aborts", policy.Altruistic{}, random(workload.DefaultConfig().PStructural), false, true},
+	}
+	for _, arm := range arms {
+		aborts := 0
+		for seed := int64(0); seed < 20; seed++ {
+			sys, sched := arm.gen(rand.New(rand.NewSource(seed)))
+			if len(sched) == 0 {
+				continue
+			}
+			cfg := Config{Policy: arm.pol, GateStripes: 8, CheckpointEvery: 3}
+			ref, err := ReplayTrace(sys, sched, cfg, arm.commit)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", arm.name, seed, err)
+			}
+			aborts += ref.Metrics.Aborts()
+			got, err := driveSessions(sys, sched, cfg, arm.commit, true)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", arm.name, seed, err)
+			}
+			if got != ref.Digest() {
+				t.Fatalf("%s seed %d: lazily opened sessions diverge from the batch drive:\n--- sessions ---\n%s\n--- batch ---\n%s",
+					arm.name, seed, got, ref.Digest())
+			}
+		}
+		if arm.aborts && aborts == 0 {
+			t.Errorf("%s: no transaction was aborted in 20 seeds", arm.name)
+		}
+	}
+}
+
+// randomLegalPrefix executes random enabled steps of sys until every
+// transaction has finished or none can move, and returns the legal,
+// proper schedule prefix it built.
+func randomLegalPrefix(rng *rand.Rand, sys *model.System) model.Schedule {
+	rp := model.NewReplay(sys)
+	var sched model.Schedule
+	for {
+		var enabled []model.Ev
+		for i := range sys.Txns {
+			if st, ok := rp.NextStep(model.TID(i)); ok {
+				if ev := (model.Ev{T: model.TID(i), S: st}); rp.Check(ev) == nil {
+					enabled = append(enabled, ev)
+				}
+			}
+		}
+		if len(enabled) == 0 {
+			return sched
+		}
+		ev := enabled[rng.Intn(len(enabled))]
+		if err := rp.Do(ev); err != nil {
+			panic(err)
+		}
+		sched = append(sched, ev)
+	}
+}
+
 // driveSessions replays a trace through in-process sessions, one Open
 // per transaction, single-threaded, dropping a session on abort exactly
-// as ReplayTrace drops a transaction.
-func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit bool) (string, error) {
+// as ReplayTrace drops a transaction. Sessions are opened in transaction
+// order, so ids match the batch drive: all up front, or with lazy set,
+// each just before its transaction's first event (and the rest at the
+// end).
+func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit, lazy bool) (string, error) {
 	e := NewEngine(sys.Init, cfg)
-	sess := make([]*Session, len(sys.Txns))
-	for i, tx := range sys.Txns {
-		s, err := e.Open(tx)
-		if err != nil {
+	var sess []*Session
+	openTo := func(n int) error {
+		for len(sess) < n {
+			s, err := e.Open(sys.Txns[len(sess)])
+			if err != nil {
+				return err
+			}
+			sess = append(sess, s)
+		}
+		return nil
+	}
+	if !lazy {
+		if err := openTo(len(sys.Txns)); err != nil {
 			return "", err
 		}
-		sess[i] = s
 	}
 	dropped := make([]bool, len(sys.Txns))
 	fed := make([]int, len(sys.Txns))
@@ -283,6 +397,9 @@ func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit b
 		tn := int(ev.T)
 		if dropped[tn] {
 			continue
+		}
+		if err := openTo(tn + 1); err != nil {
+			return "", err
 		}
 		if err := sess[tn].Step(ev.S); err != nil {
 			if errors.Is(err, ErrAborted) || errors.Is(err, ErrAbandoned) {
@@ -297,6 +414,9 @@ func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit b
 				return "", err
 			}
 		}
+	}
+	if err := openTo(len(sys.Txns)); err != nil {
+		return "", err
 	}
 	ins := e.Inspect()
 	m := ins.Metrics
