@@ -14,21 +14,22 @@
 //
 // -data-dir makes lockd durable: every partition appends its committed
 // schedule, transaction declarations and statuses to a write-ahead log
-// (with periodic checkpoint snapshots) under the directory, and a
+// (with periodic checkpoint snapshots) under DIR/p<i>, and a
 // restart — clean or crashed — recovers the committed schedule,
 // re-verifies its serializability, and restores in-flight sessions
 // parked for client resume within their leases. -fsync additionally
 // syncs every WAL append, making acknowledged commits survive machine
 // (not just process) crashes. A corrupt store refuses to start: exit
-// nonzero with the failing record named. Without -data-dir lockd is
-// memory-only, exactly as before.
+// nonzero with the failing record named — as does a store written with
+// a different -partitions, with the offending directory named. Without
+// -data-dir lockd is memory-only.
 //
-// -partitions > 1 runs the entity-hash partitioned engine group: each
-// partition is a full engine (own recovery core, stripe set, sequencer)
-// and sessions whose declared body stays inside one partition never
-// touch the others. Cross-partition and global-footprint transactions
-// go through the cross-partition drain. The wire protocol is identical
-// either way. -truncate-log (default on) discards log events below the
+// -partitions N splits the engine into N entity-hash partitions, each
+// with its own recovery core, stripe set and sequencer; sessions whose
+// declared body stays inside one partition never touch the others.
+// Cross-partition and global-footprint transactions go through the
+// cross-partition drain. At N = 1 every session is partition-local.
+// The wire protocol is identical at every N. -truncate-log (default on) discards log events below the
 // earliest checkpoint whose owners are all settled, bounding recovery
 // memory on long-lived servers at the cost of full-log inspection.
 //
@@ -43,7 +44,9 @@
 // DDAG-SX, altruistic, DTR, unrestricted); -init lists the entities of
 // the initial structural state (edge entities like "A->B" configure the
 // tree/DDAG shapes). On SIGTERM or SIGINT the server drains: it stops
-// accepting, waits up to -drain-timeout for open sessions to finish,
+// accepting, waits up to -drain-timeout for the sessions that live
+// connections are driving to finish (parked sessions, which no client
+// can resume once the listener is closed, are not waited for),
 // force-aborts the rest, verifies the committed schedule is
 // serializable and exits 0 on a clean verdict.
 //
@@ -80,7 +83,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7654", "listen address")
 	polName := flag.String("policy", "2PL", "locking policy: "+strings.Join(policy.Names(), ", "))
 	initEnts := flag.String("init", "", "comma-separated entities of the initial structural state")
-	partitions := flag.Int("partitions", 1, "entity-hash engine partitions (1 = single engine)")
+	partitions := flag.Int("partitions", 1, "entity-hash engine partitions; a -data-dir store must be reopened with the count it was written with")
 	stripes := flag.Int("stripes", 0, "admission-gate stripes per partition (0 = size from GOMAXPROCS)")
 	serialized := flag.Bool("serialized-gate", false, "use the single-mutex serialized gate (forces stripes=1)")
 	shards := flag.Int("shards", 16, "lock-manager shards")
@@ -94,7 +97,7 @@ func main() {
 	backoff := flag.Duration("backoff", 0, "base retry delay for engine-driven retries (run mode, cascade re-runs; 0 = default, negative = none)")
 	backoffCap := flag.Duration("backoff-cap", 0, "cap on the linear retry delay (0 = default 100x base, negative = uncapped)")
 	backoffJitter := flag.Float64("backoff-jitter", 0, "fraction of the retry delay randomized away, 0..1 (0 = default 0.5, negative = none)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a drain waits for open sessions before force-aborting them")
+	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long a drain waits for attached (not parked) sessions before force-aborting every open session")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled; unauthenticated, keep it loopback/firewalled)")
 	flag.Parse()
 

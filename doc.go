@@ -57,7 +57,9 @@
 //	                       wall-clock metrics; batch Run over complete
 //	                       workloads plus the long-lived Engine/Session
 //	                       API (declared bodies, client-paced steps,
-//	                       lease-reaped abandonment)
+//	                       lease-reaped abandonment), one session engine
+//	                       over N entity-hash partitions for every N,
+//	                       with a cross-partition drain
 //
 // Service — the runtime exposed as a long-lived network lock service:
 //

@@ -4,7 +4,7 @@
 // byte granularity and stall the request stream past the session lease
 // — all without touching the server — plus an in-process SessionPlan
 // that inflicts the session-level analogues (mid-flight cancellation)
-// on a runtime.SessionEngine driven directly. The E18 chaos-corpus
+// on a runtime.Engine driven directly. The E18 chaos-corpus
 // experiment (internal/experiments/e18.go) and the CI chaos job point
 // the workload scenario corpus (internal/workload) through both.
 //
@@ -98,7 +98,7 @@ func (p Plan) String() string {
 }
 
 // SessionPlan is the in-process fault plan: when a harness drives
-// scenarios straight into a runtime.SessionEngine (no TCP, no proxy),
+// scenarios straight into a runtime.Engine (no TCP, no proxy),
 // the transport fault it can still inflict is the one the server
 // inflicts on behalf of a dead connection — Session.Cancel from another
 // goroutine, racing whatever the session is doing. Deterministic by

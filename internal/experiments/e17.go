@@ -43,8 +43,9 @@ type E17Row struct {
 // one partition's gate and sequencer, so disjoint clients on different
 // partitions contend on nothing; cross-partition sessions run through
 // the cross-partition drain, which quiesces every partition — the
-// scaling ceiling this experiment exists to expose. partitions=1 is the
-// plain single engine (the baseline the speedup column is relative to).
+// scaling ceiling this experiment exists to expose. partitions=1, where
+// every session is partition-local, is the baseline the speedup column
+// is relative to.
 //
 // Every repetition asserts correctness: all transactions commit, and
 // Close verifies the merged committed schedule serializable against the

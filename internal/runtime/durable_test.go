@@ -3,6 +3,9 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"locksafe/internal/model"
@@ -163,9 +166,9 @@ func TestDurableRestartResume(t *testing.T) {
 // TestInterruptResume is the in-process half of the resumption
 // contract: Interrupt parks a session (freeing its MPL slot), the stale
 // owner object is fenced, and the single winning Resume gets a fresh
-// session that drives the declared body to commit. Runs against both
-// the plain and the partitioned engine, the latter with a
-// cross-partition session.
+// session that drives the declared body to commit. Runs at one
+// partition with a local session and at two with a cross-partition
+// session.
 func TestInterruptResume(t *testing.T) {
 	e0, e1 := partitionedEntities(t)
 	for _, parts := range []int{1, 2} {
@@ -174,7 +177,7 @@ func TestInterruptResume(t *testing.T) {
 			eng := NewSessionEngine(init, Config{Policy: policy.TwoPhase{}, Partitions: parts, MPL: 1})
 			body := rwTxn("A", e0)
 			if parts > 1 {
-				body = spanTxn("A", e0, e1) // cross-partition: exercises the gsession park path
+				body = spanTxn("A", e0, e1) // cross-partition: exercises the cross-partition park path
 			}
 			s, err := eng.OpenSession(body)
 			if err != nil {
@@ -221,6 +224,144 @@ func TestInterruptResume(t *testing.T) {
 				t.Fatalf("commits = %d, want 2", res.Metrics.Commits)
 			}
 		})
+	}
+}
+
+// TestDurableLayoutRefusal pins the on-disk layout: every partition
+// count persists under PartitionDir(DataDir, p), and a data directory
+// written for a different partition count is refused with an error that
+// names the offending directory, instead of restoring a shorter
+// history. A refused directory is left as it was.
+func TestDurableLayoutRefusal(t *testing.T) {
+	e0, e1 := partitionedEntities(t)
+	init := model.NewState(e0, e1)
+	// seed2 commits one transaction in each of two partitions and
+	// closes cleanly.
+	seed2 := func(t *testing.T, dir string) {
+		eng, _, err := NewDurableSessionEngine(init, Config{Policy: policy.TwoPhase{}, DataDir: dir, Partitions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tx := range []model.Txn{rwTxn("A", e0), rwTxn("B", e1)} {
+			s, err := eng.OpenSession(tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name    string
+		prepare func(t *testing.T, dir string)
+		parts   int
+		// bad is the directory the refusal must name, relative to the
+		// data directory; empty means the layout is accepted.
+		bad     string
+		commits int
+	}{
+		{"fresh", func(*testing.T, string) {}, 1, "", 0},
+		{"same count", seed2, 2, "", 2},
+		{"store files at the root", func(t *testing.T, dir string) {
+			st, _, err := recovery.Open(dir, recovery.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}, 1, ".", 0},
+		{"partition beyond the count", seed2, 1, "p1", 0},
+		{"missing partition above", seed2, 4, "p2", 0},
+		{"missing partition below", func(t *testing.T, dir string) {
+			seed2(t, dir)
+			if err := os.RemoveAll(PartitionDir(dir, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}, 2, "p0", 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c.prepare(t, dir)
+			before, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, info, err := NewDurableSessionEngine(init, Config{Policy: policy.TwoPhase{}, DataDir: dir, Partitions: c.parts})
+			if c.bad == "" {
+				if err != nil {
+					t.Fatalf("layout refused: %v", err)
+				}
+				if info.Commits != c.commits {
+					t.Fatalf("restored %d commits, want %d", info.Commits, c.commits)
+				}
+				if _, err := eng.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := os.Stat(PartitionDir(dir, c.parts-1)); err != nil {
+					t.Fatalf("partition directory missing after open: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				eng.Close()
+				t.Fatalf("layout accepted at %d partitions, want a refusal naming %s", c.parts, c.bad)
+			}
+			if want := filepath.Join(dir, c.bad); !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal %q does not name %s", err, want)
+			}
+			after, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(after) != len(before) {
+				t.Fatalf("refused open changed the data directory: %d entries, then %d", len(before), len(after))
+			}
+		})
+	}
+}
+
+// TestCrossSessionSeesPartitionFailure pins that a persistence failure
+// confined to one partition's store reaches the cross-partition
+// sessions: their Run ends with the engine failure instead of retrying
+// a step that can never be admitted.
+func TestCrossSessionSeesPartitionFailure(t *testing.T) {
+	e0, e1 := partitionedEntities(t)
+	stores := 0
+	cfg := Config{Policy: policy.TwoPhase{}, Partitions: 2, DataDir: t.TempDir(), Backoff: -1,
+		WrapPersister: func(p recovery.Persister) recovery.Persister {
+			stores++
+			if stores == 2 {
+				// Partition 1 takes the two open records below, then fails.
+				return &recovery.CrashPersister{P: p, Records: 2}
+			}
+			return p
+		}}
+	eng, _, err := NewDurableSessionEngine(model.NewState(e0, e1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross, err := eng.OpenSession(spanTxn("G", e0, e1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := eng.OpenSession(rwTxn("L", e1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Run(); err == nil || !strings.Contains(err.Error(), "engine failed") {
+		t.Fatalf("local run on the failing partition = %v, want an engine failure", err)
+	}
+	if err := cross.Run(); err == nil || !strings.Contains(err.Error(), "engine failed") {
+		t.Fatalf("cross-partition run = %v, want an engine failure", err)
+	}
+	if _, err := eng.Close(); err == nil {
+		t.Fatal("Close after a persistence failure reported success")
 	}
 }
 
@@ -288,9 +429,9 @@ func durableScript(eng SessionEngine, e0, e1 model.Entity) (acked int) {
 // record-append budget and (b) at a sweep of byte offsets, torn tails
 // included. Every crash point must restore into a working engine whose
 // recovered commits dominate the acknowledged ones and whose schedule
-// verifies serializable — for both the standalone and the partitioned
-// engine (where per-partition budgets exercise cross-partition status
-// skew and the restore arbiter).
+// verifies serializable — at one partition and at two (where
+// per-partition budgets exercise cross-partition status skew and the
+// restore arbiter).
 func TestDurableCrashPointSweepEngine(t *testing.T) {
 	e0, e1 := partitionedEntities(t)
 	init := model.NewState(e0, e1)

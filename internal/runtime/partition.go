@@ -3,8 +3,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"locksafe/internal/lockmgr"
@@ -12,23 +10,24 @@ import (
 	"locksafe/internal/recovery"
 )
 
-// This file is the partitioned session engine: N entity-hash partitions
-// (model.PartitionOf), each a full Engine with its own admission gate,
-// sequencer and recovery core. A session whose declared body — steps
-// plus their footprints — touches entities of a single partition is
-// opened, stepped, committed, reaped and recovered entirely by that
-// partition, with zero cross-partition coordination; its gate drains,
-// checkpoints and compactions involve one partition's stripes only. A
-// session with a global footprint (DTR, altruistic donation,
-// INSERT/DELETE) or a body spanning partitions runs through the
-// *cross-partition drain*: every partition is quiesced (the distributed
-// analogue of the stripe drain), the event is evaluated under the
-// combined view — the AND of every partition's monitor verdict — and
-// appended to every partition's log under one shared sequence tag, so
-// the per-partition logs merge back into a single global execution
-// order. DESIGN.md ("Partitioned engines") gives the soundness
-// argument; the randomized-trace equivalence test pins serialized ≡
-// striped ≡ partitioned across 1/2/8 partitions.
+// This file is the engine's partitioning: N entity-hash partitions
+// (model.PartitionOf), each a runner with its own admission gate,
+// sequencer and recovery core, all sharing one lock manager. A session
+// whose declared body — steps plus their footprints — touches entities
+// of a single partition is opened, stepped, committed, reaped and
+// recovered entirely by that partition's runner, with zero
+// cross-partition coordination; its gate drains, checkpoints and
+// compactions involve one partition's stripes only. With one partition
+// every session is such a session. A session with a global footprint
+// (DTR, altruistic donation, INSERT/DELETE) or a body spanning
+// partitions runs through the *cross-partition drain*: every partition
+// is quiesced (the distributed analogue of the stripe drain), the event
+// is evaluated under the combined view — the AND of every partition's
+// monitor verdict — and appended to every partition's log under one
+// shared sequence tag, so the per-partition logs merge back into a
+// single global execution order. DESIGN.md ("Partitioned engines")
+// gives the soundness argument; the randomized-trace equivalence test
+// pins serialized ≡ striped ≡ partitioned across 1/2/8 partitions.
 //
 // Soundness in one paragraph: every event on entity e lands in
 // partition-of-e's log — a local event is homed there by classify, a
@@ -52,224 +51,36 @@ import (
 // structural events and no donations), which the runner enforces as an
 // invariant.
 
-// Sess is a client-paced session of a SessionEngine — either a plain
-// *Session of a single Engine or a cross-partition session of a
-// PartitionedEngine. The method contract (pacing, sentinel errors,
-// retry semantics) is Session's.
-type Sess interface {
-	// TID returns the engine-wide transaction id of the session.
-	TID() int
-	// SID returns the engine-wide session id a client quotes to Resume.
-	SID() int
-	// Token returns the server-issued resume credential.
-	Token() uint64
-	// Declared returns the session's declared transaction body.
-	Declared() model.Txn
-	// Step executes the next declared step (see Session.Step).
-	Step(model.Step) error
-	// Commit finalizes the session (see Session.Commit).
-	Commit() error
-	// Abort closes the session at the client's request (see
-	// Session.Abort).
-	Abort() error
-	// Run drives the declared body to commit engine-side (see
-	// Session.Run).
-	Run() error
-	// Cancel terminates the session engine-side; safe concurrently
-	// with an in-flight call (see Session.Cancel).
-	Cancel()
-	// Interrupt parks the session engine-side for a later Resume; safe
-	// concurrently with an in-flight call (see Session.Interrupt).
-	Interrupt()
-}
-
-// SessionEngine is the session-serving surface shared by Engine and
-// PartitionedEngine; the network server (internal/server) is written
-// against it, which is what makes partitioning transparent to the wire
-// protocol.
-type SessionEngine interface {
-	// OpenSession opens a declared transaction and returns its session.
-	OpenSession(tx model.Txn) (Sess, error)
-	// Resume reattaches a parked session by id and token (see
-	// Engine.Resume).
-	Resume(sid int, token uint64) (Sess, error)
-	// Stats returns a consistent metrics snapshot.
-	Stats() Metrics
-	// Inspect returns the diagnostic world-state snapshot (O(log)).
-	Inspect() Inspection
-	// OpenSessions returns the number of currently open sessions.
-	OpenSessions() int
-	// Reap aborts lease-expired sessions and reports how many.
-	Reap() int
-	// Close shuts the engine down and verifies the committed schedule.
-	Close() (*Result, error)
-}
-
-// OpenSession adapts Open to the SessionEngine interface.
-func (e *Engine) OpenSession(tx model.Txn) (Sess, error) {
-	s, err := e.Open(tx)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// NewSessionEngine returns the session engine selected by
-// cfg.Partitions: the plain single Engine for 0 or 1 (byte-identical to
-// NewEngine — partitioning adds no code to that path), the partitioned
-// engine otherwise.
-func NewSessionEngine(init model.State, cfg Config) SessionEngine {
-	if cfg.withDefaults().Partitions <= 1 {
-		return NewEngine(init, cfg)
-	}
-	return NewPartitionedEngine(init, cfg)
-}
-
-// PartitionedEngine is the entity-partitioned session engine. See the
-// file comment for the execution model. All partitions share one lock
-// manager (cross-partition deadlock cycles need a single detector), one
-// MPL semaphore and one event-tag source; everything else — gate,
-// sequencer, recovery core, checkpoints, lease reaper for local
-// sessions — is per-partition.
-type PartitionedEngine struct {
-	parts []*Engine
-	n     int
-	cfg   Config
-	mgr   *lockmgr.Manager
-	tags  atomic.Uint64
-	// fpMon is a monitor over an empty system consulted only for
-	// Footprint (pure: event + static policy configuration), used to
-	// classify declared bodies at Open.
-	fpMon model.Monitor
-	init  model.State
-
-	start time.Time
-	now   func() time.Time
-	lease time.Duration
-
-	sem chan struct{} // engine-wide MPL, shared with the partitions
-	wg  sync.WaitGroup
-
-	// wallClock reports that no Clock was injected, so startReaper may
-	// start the background lease reapers.
-	wallClock bool
-
-	lifecycle sync.RWMutex
-	closed    atomic.Bool
-	closedCh  chan struct{}
-
-	// waitNs accumulates lock-wait time of cross-partition steps.
-	waitNs atomic.Int64
-
-	// gmu guards the global bookkeeping below. It is a leaf lock: held
-	// briefly, never while acquiring a gate drain. State transitions of
-	// global transactions additionally happen only under the full
-	// cross-partition drain, so a drain holder may read them without
-	// gmu; lock-free pre-checks in the session methods take gmu.
-	gmu sync.Mutex
-	// fullSys is the engine-wide system: every session's declared body
-	// under its global transaction id, in open order. It is the system
-	// the merged log is verified against.
-	fullSys *model.System
-	// home[g] is the home partition of a local transaction, or -1 for a
-	// cross-partition (global) one.
-	home []int
-	// locs[g] holds the partition-local transaction indices: one entry
-	// (the home partition's) for a local transaction, one per partition
-	// for a global one.
-	locs [][]int
-	// Bookkeeping rows of *global* transactions (indexed by global id;
-	// rows of local transactions are unused — their state lives in
-	// their home partition).
-	gstatus   []txnStatus
-	ggen      []int
-	gattempts []int
-	gcause    []error
-	gmet      Metrics // metrics attributed to global transactions
-	fatal     error
-
-	mu       sync.Mutex
-	sessions map[int]*gsession
-
-	reapStop chan struct{}
-	reapDone chan struct{}
-}
-
-// NewPartitionedEngine returns a running partitioned engine with
-// cfg.Partitions entity-hash partitions over the given initial
-// structural state (replicated into every partition). Most callers want
-// NewSessionEngine, which falls back to the plain Engine for a single
-// partition.
-func NewPartitionedEngine(init model.State, cfg Config) *PartitionedEngine {
-	pe := newPartitionedCore(init, cfg)
-	pe.startReaper()
-	return pe
-}
-
-// newPartitionedCore builds the partitioned engine without starting any
-// background reaper (its own or the partitions'), so the durable
-// constructor can restore the persisted history before any concurrent
-// machinery runs.
-func newPartitionedCore(init model.State, cfg Config) *PartitionedEngine {
-	cfg = cfg.withDefaults()
-	pe := &PartitionedEngine{
-		n:        cfg.Partitions,
-		cfg:      cfg,
-		mgr:      lockmgr.NewSharded(cfg.Shards),
-		init:     init.Clone(),
-		start:    time.Now(),
-		now:      cfg.Clock,
-		lease:    cfg.Lease,
-		closedCh: make(chan struct{}),
-		fullSys:  model.NewSystem(init.Clone()),
-		sessions: make(map[int]*gsession),
-	}
-	pe.fpMon = cfg.Policy.NewMonitor(model.NewSystem(init.Clone()))
-	sh := &sharedParts{mgr: pe.mgr, tags: &pe.tags}
-	if cfg.MPL > 0 {
-		pe.sem = make(chan struct{}, cfg.MPL)
-		sh.sem = pe.sem
-	}
-	pcfg := cfg
-	pcfg.MPL = 0 // the shared semaphore is injected, not re-created
-	pe.parts = make([]*Engine, pe.n)
-	for p := range pe.parts {
-		pe.parts[p] = newEngineCore(init, pcfg, sh)
-	}
-	if pe.now == nil {
-		pe.now = time.Now
-		pe.wallClock = true
-	}
-	return pe
-}
-
-// startReaper starts the engine-wide and per-partition lease reapers if
-// the engine runs on the wall clock with leases enabled. Idempotent.
-func (pe *PartitionedEngine) startReaper() {
-	for _, part := range pe.parts {
-		part.startReaper()
-	}
-	if pe.wallClock && pe.lease > 0 && pe.reapStop == nil {
-		pe.reapStop = make(chan struct{})
-		pe.reapDone = make(chan struct{})
-		go pe.reapLoop()
-	}
+// xtxn is the engine-level record of one cross-partition transaction:
+// its mirror row in every partition and its authoritative lifecycle
+// state. g, tx and locs are fixed before the record is published; the
+// rest changes only under the cross-partition drain *and* gmu, so a
+// drain holder reads it directly and everyone else under gmu.
+type xtxn struct {
+	g        int
+	tx       model.Txn
+	locs     []int // the mirror row's index in each partition
+	status   txnStatus
+	gen      int
+	attempts int
+	cause    error
 }
 
 // classify decides where a declared body runs: its home partition if
 // every step's entity and footprint stays inside one partition, or the
 // cross-partition path if any step has a global footprint (or names
 // other transactions) or the entities span partitions.
-func (pe *PartitionedEngine) classify(tx model.Txn) (homeP int, global bool) {
-	if pe.n == 1 {
+func (e *Engine) classify(tx model.Txn) (homeP int, global bool) {
+	n := len(e.parts)
+	if n == 1 {
 		return 0, false
 	}
 	seen := -1
-	note := func(e model.Entity) bool {
-		if e == "" {
+	note := func(ent model.Entity) bool {
+		if ent == "" {
 			return true
 		}
-		p := model.PartitionOf(e, pe.n)
+		p := model.PartitionOf(ent, n)
 		if seen == -1 {
 			seen = p
 			return true
@@ -277,15 +88,15 @@ func (pe *PartitionedEngine) classify(tx model.Txn) (homeP int, global bool) {
 		return p == seen
 	}
 	for _, st := range tx.Steps {
-		fp := pe.fpMon.Footprint(model.Ev{T: 0, S: st})
+		fp := e.fpMon.Footprint(model.Ev{T: 0, S: st})
 		if fp.Global || len(fp.ExtraTxns) > 0 {
 			return 0, true
 		}
 		if !note(st.Ent) || !note(fp.Ent) {
 			return 0, true
 		}
-		for _, e := range fp.ExtraEnts {
-			if !note(e) {
+		for _, ent := range fp.ExtraEnts {
+			if !note(ent) {
 				return 0, true
 			}
 		}
@@ -296,117 +107,39 @@ func (pe *PartitionedEngine) classify(tx model.Txn) (homeP int, global bool) {
 	return seen, false
 }
 
-// Open opens a session for the declared transaction: local bodies are
-// routed to their home partition (and the returned Sess is that
-// partition's plain *Session — the fast path adds one hash per declared
-// entity and nothing else), cross-partition bodies get a gsession
-// driven through the cross-partition drain.
-func (pe *PartitionedEngine) OpenSession(tx model.Txn) (Sess, error) {
-	if err := checkDeclared(tx); err != nil {
-		return nil, err
-	}
-	pe.lifecycle.RLock()
-	if pe.closed.Load() {
-		pe.lifecycle.RUnlock()
-		return nil, ErrClosed
-	}
-	homeP, global := pe.classify(tx)
-	if !global {
-		// Assign the engine-wide id, then let the home partition do its
-		// ordinary Open (which takes the shared MPL slot and drains only
-		// that partition's gate).
-		pe.gmu.Lock()
-		g := int(pe.fullSys.Add(tx))
-		pe.addRowLocked(homeP)
-		pe.gmu.Unlock()
-		pe.lifecycle.RUnlock()
-		s, err := pe.parts[homeP].open(tx, g)
-		if err != nil {
-			return nil, err
-		}
-		pe.gmu.Lock()
-		pe.locs[g] = []int{s.t}
-		pe.gmu.Unlock()
-		return s, nil
-	}
-	pe.lifecycle.RUnlock()
-
-	// Global: one MPL slot engine-wide, then register a mirror row in
-	// every partition under the cross-partition drain, so a concurrent
-	// global event sees the new transaction in all replicas or none.
-	if pe.sem != nil {
-		select {
-		case pe.sem <- struct{}{}:
-		case <-pe.closedCh:
-			return nil, ErrClosed
-		}
-	}
-	pe.lifecycle.RLock()
-	defer pe.lifecycle.RUnlock()
-	if pe.closed.Load() {
-		if pe.sem != nil {
-			<-pe.sem
-		}
-		return nil, ErrClosed
-	}
-	pe.gmu.Lock()
-	g := int(pe.fullSys.Add(tx))
-	pe.addRowLocked(-1)
-	pe.gmu.Unlock()
-
-	pe.drainAll()
-	if f := pe.anyFatalDrained(); f != nil {
-		pe.undrainAll()
-		if pe.sem != nil {
-			<-pe.sem
-		}
+// openCross registers a cross-partition transaction: a mirror row in
+// every partition under the cross-partition drain, so a concurrent
+// global event sees the new transaction in all replicas or none.
+func (e *Engine) openCross(g int, tx model.Txn, o recovery.OpenRec) (*xtxn, error) {
+	e.drainAll()
+	defer e.undrainAll()
+	if f := e.anyFatalDrained(); f != nil {
 		return nil, fmt.Errorf("runtime: engine failed: %w", f)
 	}
-	st := &sessState{token: newToken()}
-	var deadline int64
-	if pe.lease > 0 {
-		deadline = pe.now().Add(pe.lease).UnixNano()
-	}
-	st.deadline.Store(deadline)
-	locs := make([]int, pe.n)
-	for p, part := range pe.parts {
-		locs[p] = part.r.addTxnDrained(tx, g, true)
+	x := &xtxn{g: g, tx: tx, locs: make([]int, len(e.parts))}
+	o.Mirror = true
+	for p, r := range e.parts {
+		x.locs[p] = r.addTxnDrained(tx, g, true)
 		// Every partition records the mirror registration — same global
 		// id, same token — so a restore rebuilds the replica set (or
 		// detects a crash mid-loop by the partial mirror).
-		part.r.persistOpenDrained(recovery.OpenRec{G: g, Mirror: true, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: deadline})
+		r.persistOpenDrained(o)
 	}
-	if f := pe.anyFatalDrained(); f != nil {
-		pe.undrainAll()
-		if pe.sem != nil {
-			<-pe.sem
-		}
+	if f := e.anyFatalDrained(); f != nil {
 		return nil, fmt.Errorf("runtime: engine failed: %w", f)
 	}
-	pe.gmu.Lock()
-	pe.locs[g] = locs
-	pe.gmu.Unlock()
-	pe.undrainAll()
-
-	if pe.sem != nil {
-		st.holdsSlot.Store(true)
-	}
-	s := &gsession{pe: pe, g: g, tx: tx, st: st}
-	s.touch()
-	pe.mu.Lock()
-	pe.sessions[g] = s
-	pe.mu.Unlock()
-	return s, nil
+	e.gmu.Lock()
+	e.xs[g] = x
+	e.gmu.Unlock()
+	return x, nil
 }
 
-// addRowLocked appends one global bookkeeping row (gmu held).
-func (pe *PartitionedEngine) addRowLocked(homeP int) {
-	pe.home = append(pe.home, homeP)
-	pe.locs = append(pe.locs, nil)
-	pe.gstatus = append(pe.gstatus, txActive)
-	pe.ggen = append(pe.ggen, 0)
-	pe.gattempts = append(pe.gattempts, 0)
-	pe.gcause = append(pe.gcause, nil)
+// xtxnOf returns the record of cross-partition transaction g.
+func (e *Engine) xtxnOf(g int) *xtxn {
+	e.gmu.Lock()
+	x := e.xs[g]
+	e.gmu.Unlock()
+	return x
 }
 
 // drainAll quiesces every partition: each gate is drained and its
@@ -414,31 +147,31 @@ func (pe *PartitionedEngine) addRowLocked(homeP int) {
 // concurrent cross-partition operations cannot deadlock on each other's
 // half-acquired drains). The caller owns every partition's world until
 // undrainAll.
-func (pe *PartitionedEngine) drainAll() {
-	for _, part := range pe.parts {
-		part.r.gate.drain()
-		part.r.flushPending()
+func (e *Engine) drainAll() {
+	for _, r := range e.parts {
+		r.gate.drain()
+		r.flushPending()
 	}
 }
 
-func (pe *PartitionedEngine) undrainAll() {
-	for i := len(pe.parts) - 1; i >= 0; i-- {
-		pe.parts[i].r.gate.undrain()
+func (e *Engine) undrainAll() {
+	for i := len(e.parts) - 1; i >= 0; i-- {
+		e.parts[i].gate.undrain()
 	}
 }
 
 // anyFatalDrained reports the first fatal error across the engine
 // (cross-partition drain held).
-func (pe *PartitionedEngine) anyFatalDrained() error {
-	pe.gmu.Lock()
-	f := pe.fatal
-	pe.gmu.Unlock()
+func (e *Engine) anyFatalDrained() error {
+	e.gmu.Lock()
+	f := e.fatal
+	e.gmu.Unlock()
 	if f != nil {
 		return f
 	}
-	for _, part := range pe.parts {
-		if part.r.fatal != nil {
-			return part.r.fatal
+	for _, r := range e.parts {
+		if r.fatal != nil {
+			return r.fatal
 		}
 	}
 	return nil
@@ -446,97 +179,87 @@ func (pe *PartitionedEngine) anyFatalDrained() error {
 
 // setFatalDrained records an engine-wide invariant breach and halts
 // every partition (cross-partition drain held).
-func (pe *PartitionedEngine) setFatalDrained(err error) {
-	pe.gmu.Lock()
-	if pe.fatal == nil {
-		pe.fatal = err
+func (e *Engine) setFatalDrained(err error) {
+	e.gmu.Lock()
+	if e.fatal == nil {
+		e.fatal = err
 	}
-	pe.gmu.Unlock()
-	for _, part := range pe.parts {
-		if part.r.fatal == nil {
-			part.r.fatal = err
+	e.gmu.Unlock()
+	for _, r := range e.parts {
+		if r.fatal == nil {
+			r.fatal = err
 		}
 	}
 }
 
-func (pe *PartitionedEngine) backoff(k int) time.Duration { return pe.parts[0].r.backoff(k) }
+func (e *Engine) backoff(k int) time.Duration { return e.parts[0].backoff(k) }
 
-// evFor renders a global transaction's step as partition p's local
-// event. Takes gmu for the row read: a concurrent OpenSession may be
-// appending rows (reallocating the slices) without holding any drain.
-func (pe *PartitionedEngine) evFor(g, p int, st model.Step) model.Ev {
-	pe.gmu.Lock()
-	t := pe.locs[g][p]
-	pe.gmu.Unlock()
-	return model.Ev{T: model.TID(t), S: st}
+// crossState snapshots x's generation, status, cause and the fatal
+// error (the cross path's readTxnState; gmu suffices because every
+// transition holds it).
+func (e *Engine) crossState(x *xtxn) (gen int, status txnStatus, cause, fatal error) {
+	e.gmu.Lock()
+	gen, status, cause, fatal = x.gen, x.status, x.cause, e.fatal
+	e.gmu.Unlock()
+	return
 }
 
-// locsOf snapshots a global transaction's per-partition row under gmu.
-func (pe *PartitionedEngine) locsOf(g int) []int {
-	pe.gmu.Lock()
-	l := pe.locs[g]
-	pe.gmu.Unlock()
-	return l
-}
-
-// syncMirrorsDrained propagates a global transaction's status to its
-// mirror rows, durably where it changed (cross-partition drain held).
-// Ascending partition order, so a crash mid-sync leaves a prefix of
-// partitions updated — the restore arbiter (the lowest-index partition
-// holding the row) then reads the newest status.
-func (pe *PartitionedEngine) syncMirrorsDrained(g int) {
-	pe.gmu.Lock()
-	locs, status := pe.locs[g], pe.gstatus[g]
-	pe.gmu.Unlock()
-	for p, part := range pe.parts {
-		if part.r.status[locs[p]] != status {
-			part.r.status[locs[p]] = status
-			part.r.persistStatusDrained(locs[p], statusByte(status))
+// syncMirrorsDrained propagates a cross-partition transaction's status
+// to its mirror rows, durably where it changed (cross-partition drain
+// held). Ascending partition order, so a crash mid-sync leaves a prefix
+// of partitions updated — the restore arbiter (the lowest-index
+// partition holding the row) then reads the newest status.
+func (e *Engine) syncMirrorsDrained(x *xtxn) {
+	for p, r := range e.parts {
+		if t := x.locs[p]; r.status[t] != x.status {
+			r.status[t] = x.status
+			r.persistStatusDrained(t, statusByte(x.status))
 		}
 	}
 }
 
-// staleAllDrained is staleDrained lifted to the cross-partition drain:
-// it checks whether g's attempt generation is still current, releasing
-// the drain (and shedding race-window locks) if not.
-func (pe *PartitionedEngine) staleAllDrained(g, gen int) (bool, retryOut) {
-	if f := pe.anyFatalDrained(); f != nil {
-		pe.undrainAll()
-		pe.mgr.ReleaseAll(g)
+// crossStaleDrained is staleDrained lifted to the cross-partition
+// drain: it checks whether x's attempt generation is still current,
+// releasing the drain (and shedding race-window locks) if not.
+func (e *Engine) crossStaleDrained(x *xtxn, gen int) (bool, retryOut) {
+	if f := e.anyFatalDrained(); f != nil {
+		// Raise a partition's failure engine-wide, where crossState (and
+		// so the session's failure translation) reads it.
+		e.setFatalDrained(f)
+		e.undrainAll()
+		e.mgr.ReleaseAll(x.g)
 		return true, retryOut{again: false}
 	}
-	pe.gmu.Lock()
-	if pe.ggen[g] == gen {
-		pe.gmu.Unlock()
+	if x.gen == gen {
 		return false, retryOut{}
 	}
-	again := pe.gstatus[g] == txActive
-	delay := pe.backoff(pe.gattempts[g])
-	pe.gmu.Unlock()
-	pe.undrainAll()
-	pe.mgr.ReleaseAll(g)
+	again := x.status == txActive
+	delay := e.backoff(x.attempts)
+	e.undrainAll()
+	e.mgr.ReleaseAll(x.g)
 	return true, retryOut{again: again, delay: delay}
 }
 
-// crossStep executes one declared step of global transaction g's
-// attempt gen: the lock-table action first (blocking, no drain held),
-// then admission under the cross-partition drain — definedness on the
-// replicated structural state, the policy Check on *every* partition's
-// monitor (the combined verdict is their conjunction), the unlock table
-// action, and the append into every partition's recovery core under one
-// shared sequence tag. The return contract is execStep's.
-func (pe *PartitionedEngine) crossStep(g, gen int, st model.Step) (ok, again bool, delay time.Duration) {
+// crossStep executes one declared step of cross-partition transaction
+// x's attempt gen: the lock-table action first (blocking, no drain
+// held), then admission under the cross-partition drain — definedness
+// on the replicated structural state, the policy Check on *every*
+// partition's monitor (the combined verdict is their conjunction), the
+// unlock table action, and the append into every partition's recovery
+// core under one shared sequence tag. The return contract is
+// execStep's.
+func (e *Engine) crossStep(x *xtxn, gen int, st model.Step) (ok, again bool, delay time.Duration) {
 	if st.Op.IsLock() {
 		t0 := time.Now()
-		err := pe.mgr.Lock(g, st.Ent, st.Op.LockMode())
-		pe.waitNs.Add(int64(time.Since(t0)))
+		err := e.mgr.Lock(x.g, st.Ent, st.Op.LockMode())
+		e.waitNs.Add(int64(time.Since(t0)))
 		if err != nil {
-			again, delay = pe.crossLockFailed(g, gen, err)
+			again, delay = e.crossLockFailed(x, gen, err)
 			return false, again, delay
 		}
 	}
-	pe.drainAll()
-	if stale, out := pe.staleAllDrained(g, gen); stale {
+	e.drainAll()
+	if stale, out := e.crossStaleDrained(x, gen); stale {
 		return false, out.again, out.delay
 	}
 	// Definedness is judged by the entity's home partition: every event
@@ -545,134 +268,128 @@ func (pe *PartitionedEngine) crossStep(g, gen int, st model.Step) (ok, again boo
 	// lands in that partition's log, so its structural state is
 	// authoritative for its own entities (other replicas may miss local
 	// inserts and deletes homed elsewhere).
-	if st.Op.IsData() && !pe.partStateFor(st.Ent).Defined(st) {
-		pe.gmu.Lock()
-		pe.gmet.ImproperAborts++
-		pe.gcause[g] = fmt.Errorf("improper step %s: undefined in the structural state", pe.evFor(g, 0, st))
-		pe.gmu.Unlock()
-		again, delay = pe.crossAbortDrained(g)
+	if st.Op.IsData() && !e.parts[model.PartitionOf(st.Ent, len(e.parts))].rec.State().Defined(st) {
+		e.gmu.Lock()
+		e.gmet.ImproperAborts++
+		x.cause = fmt.Errorf("improper step %s: undefined in the structural state", model.Ev{T: model.TID(x.locs[0]), S: st})
+		e.gmu.Unlock()
+		again, delay = e.crossAbortDrained(x)
 		return false, again, delay
 	}
-	for p, part := range pe.parts {
-		if err := part.r.rec.Monitor().Check(pe.evFor(g, p, st)); err != nil {
-			pe.gmu.Lock()
-			pe.gmet.PolicyAborts++
-			pe.gcause[g] = err
-			pe.gmu.Unlock()
-			again, delay = pe.crossAbortDrained(g)
+	for p, r := range e.parts {
+		if err := r.rec.Monitor().Check(model.Ev{T: model.TID(x.locs[p]), S: st}); err != nil {
+			e.gmu.Lock()
+			e.gmet.PolicyAborts++
+			x.cause = err
+			e.gmu.Unlock()
+			again, delay = e.crossAbortDrained(x)
 			return false, again, delay
 		}
 	}
 	if st.Op.IsUnlock() {
-		if err := pe.mgr.Unlock(g, st.Ent); err != nil {
-			pe.setFatalDrained(fmt.Errorf("runtime: %w", err))
-			pe.undrainAll()
-			pe.mgr.ReleaseAll(g)
+		if err := e.mgr.Unlock(x.g, st.Ent); err != nil {
+			e.setFatalDrained(fmt.Errorf("runtime: %w", err))
+			e.undrainAll()
+			e.mgr.ReleaseAll(x.g)
 			return false, false, 0
 		}
 	}
-	tag := pe.tags.Add(1) - 1
-	for p, part := range pe.parts {
-		if err := part.r.rec.AppendTagged(pe.evFor(g, p, st), tag); err != nil {
-			pe.setFatalDrained(fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err))
-			pe.undrainAll()
-			pe.mgr.ReleaseAll(g)
+	tag := e.tags.Add(1) - 1
+	for p, r := range e.parts {
+		if err := r.rec.AppendTagged(model.Ev{T: model.TID(x.locs[p]), S: st}, tag); err != nil {
+			e.setFatalDrained(fmt.Errorf("runtime: monitor accepted Check but rejected Step: %w", err))
+			e.undrainAll()
+			e.mgr.ReleaseAll(x.g)
 			return false, false, 0
 		}
 	}
-	pe.undrainAll()
+	e.undrainAll()
 	return true, false, 0
-}
-
-// partStateFor returns the structural state of the entity's home
-// partition — the authoritative replica for that entity (cross-partition
-// drain held).
-func (pe *PartitionedEngine) partStateFor(e model.Entity) model.State {
-	return pe.parts[model.PartitionOf(e, pe.n)].r.rec.State()
 }
 
 // crossLockFailed mirrors lockFailed for the cross-partition path.
-func (pe *PartitionedEngine) crossLockFailed(g, gen int, err error) (bool, time.Duration) {
-	pe.drainAll()
-	if stale, out := pe.staleAllDrained(g, gen); stale {
+func (e *Engine) crossLockFailed(x *xtxn, gen int, err error) (bool, time.Duration) {
+	e.drainAll()
+	if stale, out := e.crossStaleDrained(x, gen); stale {
 		return out.again, out.delay
 	}
 	if !errors.Is(err, lockmgr.ErrDeadlock) {
-		pe.setFatalDrained(fmt.Errorf("runtime: %w", err))
-		pe.undrainAll()
-		pe.mgr.ReleaseAll(g)
+		e.setFatalDrained(fmt.Errorf("runtime: %w", err))
+		e.undrainAll()
+		e.mgr.ReleaseAll(x.g)
 		return false, 0
 	}
-	pe.gmu.Lock()
-	pe.gmet.DeadlockAborts++
-	pe.gcause[g] = err
-	pe.gmu.Unlock()
-	return pe.crossAbortDrained(g)
+	e.gmu.Lock()
+	e.gmet.DeadlockAborts++
+	x.cause = err
+	e.gmu.Unlock()
+	return e.crossAbortDrained(x)
 }
 
-// crossCommit finalizes global transaction g (the commit analogue of
-// runner.commit): status flip under the cross-partition drain, mirror
-// sync, stray-lock shedding, per-partition truncation pacing.
-func (pe *PartitionedEngine) crossCommit(g, gen int) (committed, again bool, delay time.Duration) {
-	pe.drainAll()
-	if stale, out := pe.staleAllDrained(g, gen); stale {
+// crossCommit finalizes cross-partition transaction x (the commit
+// analogue of runner.commit): status flip under the cross-partition
+// drain, mirror sync, stray-lock shedding, per-partition truncation
+// pacing.
+func (e *Engine) crossCommit(x *xtxn, gen int) (committed, again bool, delay time.Duration) {
+	e.drainAll()
+	if stale, out := e.crossStaleDrained(x, gen); stale {
 		return false, out.again, out.delay
 	}
-	pe.gmu.Lock()
-	pe.gstatus[g] = txCommitted
-	pe.gmet.Commits++
-	pe.gmu.Unlock()
-	pe.syncMirrorsDrained(g)
+	e.gmu.Lock()
+	x.status = txCommitted
+	e.gmet.Commits++
+	e.gmu.Unlock()
+	e.syncMirrorsDrained(x)
 	// The commit is acknowledged only once durable in every partition; a
 	// persistence failure surfaces as engine failure, not a false ack.
-	if f := pe.anyFatalDrained(); f != nil {
-		pe.undrainAll()
-		pe.mgr.ReleaseAll(g)
+	if f := e.anyFatalDrained(); f != nil {
+		e.undrainAll()
+		e.mgr.ReleaseAll(x.g)
 		return false, false, 0
 	}
-	pe.mgr.ReleaseAll(g)
-	if pe.cfg.TruncateLog {
-		for _, part := range pe.parts {
-			part.r.maybeTruncateDrained()
+	e.mgr.ReleaseAll(x.g)
+	if e.cfg.TruncateLog {
+		for _, r := range e.parts {
+			r.maybeTruncateDrained()
 		}
 	}
-	pe.undrainAll()
+	e.undrainAll()
 	return true, false, 0
 }
 
-// chargeGDrained bumps g's generation and retry count, abandoning it
-// past the budget, and syncs the mirrors (cross-partition drain held).
-func (pe *PartitionedEngine) chargeGDrained(g int) {
-	pe.gmu.Lock()
-	pe.ggen[g]++
-	pe.gattempts[g]++
-	if pe.gattempts[g] > pe.cfg.MaxRetries && pe.gstatus[g] == txActive {
-		pe.gstatus[g] = txAbandoned
-		pe.gmet.GaveUp++
+// chargeCrossDrained bumps x's generation and retry count, abandoning
+// it past the budget, and syncs the mirrors (cross-partition drain
+// held).
+func (e *Engine) chargeCrossDrained(x *xtxn) {
+	e.gmu.Lock()
+	x.gen++
+	x.attempts++
+	if x.attempts > e.cfg.MaxRetries && x.status == txActive {
+		x.status = txAbandoned
+		e.gmet.GaveUp++
 	}
-	pe.gmu.Unlock()
-	pe.syncMirrorsDrained(g)
+	e.gmu.Unlock()
+	e.syncMirrorsDrained(x)
 }
 
-// crossAbortDrained aborts g's current attempt: erase its events from
+// crossAbortDrained aborts x's current attempt: erase its events from
 // every partition (cascading as needed), charge the retry, tear down
 // its locks. Called with the cross-partition drain held; returns with
 // it released.
-func (pe *PartitionedEngine) crossAbortDrained(g int) (bool, time.Duration) {
-	pe.eraseAllDrained(map[int]bool{g: true})
-	pe.chargeGDrained(g)
-	pe.gmu.Lock()
-	again := pe.gstatus[g] == txActive
-	delay := pe.backoff(pe.gattempts[g])
-	pe.gmu.Unlock()
-	pe.undrainAll()
-	pe.mgr.ReleaseAll(g)
+func (e *Engine) crossAbortDrained(x *xtxn) (bool, time.Duration) {
+	e.eraseAllDrained(map[int]bool{x.g: true})
+	e.chargeCrossDrained(x)
+	again := x.status == txActive
+	delay := e.backoff(x.attempts)
+	e.undrainAll()
+	e.mgr.ReleaseAll(x.g)
 	return again, delay
 }
 
-// eraseAllDrained removes the global victims' events from every
-// partition's log through the per-partition checkpointed compactions,
-// handling the two kinds of cascade (cross-partition drain held):
+// eraseAllDrained removes the cross-partition victims' events from
+// every partition's log through the per-partition checkpointed
+// compactions, handling the two kinds of cascade (cross-partition drain
+// held):
 //
 //   - a *local* transaction that no longer replays is torn down by its
 //     home partition exactly as a partition-internal cascade victim
@@ -681,41 +398,39 @@ func (pe *PartitionedEngine) crossAbortDrained(g int) (bool, time.Duration) {
 //   - a *global* transaction (a mirror row) is promoted into the global
 //     victim set, torn down engine-wide, and every partition's
 //     compaction restarts with the grown set — victims only grow, so
-//     the loop converges, as in the single-engine cascade.
-func (pe *PartitionedEngine) eraseAllDrained(gvictims map[int]bool) {
-	lv := make([]map[int]bool, pe.n)
+//     the loop converges, as in the single-partition cascade.
+func (e *Engine) eraseAllDrained(gvictims map[int]bool) {
+	lv := make([]map[int]bool, len(e.parts))
 	for p := range lv {
 		lv[p] = make(map[int]bool)
 	}
 	addG := func(g int) {
-		locs := pe.locsOf(g)
-		for p := 0; p < pe.n; p++ {
-			lv[p][locs[p]] = true
+		for p, t := range e.xtxnOf(g).locs {
+			lv[p][t] = true
 		}
 	}
 	for g := range gvictims {
 		addG(g)
 	}
 restart:
-	for p := 0; p < pe.n; p++ {
-		r := pe.parts[p].r
+	for p, r := range e.parts {
 		for {
 			ok, casc := r.rec.Compact(lv[p])
 			if ok {
 				break
 			}
 			if lv[p][casc] {
-				pe.setFatalDrained(fmt.Errorf("runtime: abort cascade cannot converge on T%d", casc+1))
+				e.setFatalDrained(fmt.Errorf("runtime: abort cascade cannot converge on T%d", casc+1))
 				return
 			}
 			if r.mirror[casc] {
 				g := r.mgr.owner(casc)
 				if gvictims[g] {
-					pe.setFatalDrained(fmt.Errorf("runtime: abort cascade cannot converge on global T%d", g+1))
+					e.setFatalDrained(fmt.Errorf("runtime: abort cascade cannot converge on global T%d", g+1))
 					return
 				}
 				gvictims[g] = true
-				pe.globalCascadeDrained(g)
+				e.crossCascadeDrained(e.xtxnOf(g))
 				addG(g)
 				// Earlier partitions must re-compact with the grown set.
 				goto restart
@@ -726,52 +441,40 @@ restart:
 	}
 }
 
-// globalCascadeDrained tears down a global transaction caught in a
-// cascade: charge it engine-wide, un-commit and re-run it through the
-// cross-partition path if it had already committed (the partitioned
-// analogue of the runner's committed-victim re-spawn). Cross-partition
-// drain held.
-func (pe *PartitionedEngine) globalCascadeDrained(g int) {
-	pe.gmu.Lock()
-	pe.gmet.CascadeAborts++
-	pe.gcause[g] = fmt.Errorf("cascade victim: a surviving event of T%d no longer replays after the abort", g+1)
+// crossCascadeDrained tears down a cross-partition transaction caught
+// in a cascade: charge it engine-wide, un-commit and re-run it through
+// the cross-partition path if it had already committed (the analogue of
+// the runner's committed-victim re-spawn). Cross-partition drain held.
+func (e *Engine) crossCascadeDrained(x *xtxn) {
+	e.gmu.Lock()
+	e.gmet.CascadeAborts++
+	x.cause = fmt.Errorf("cascade victim: a surviving event of T%d no longer replays after the abort", x.g+1)
 	respawn := false
-	if pe.gstatus[g] == txCommitted {
-		pe.gstatus[g] = txActive
-		pe.gmet.Commits--
+	if x.status == txCommitted {
+		x.status = txActive
+		e.gmet.Commits--
 		respawn = true
 	}
-	pe.ggen[g]++
-	pe.gattempts[g]++
-	if pe.gattempts[g] > pe.cfg.MaxRetries && pe.gstatus[g] == txActive {
-		pe.gstatus[g] = txAbandoned
-		pe.gmet.GaveUp++
-	}
-	active := pe.gstatus[g] == txActive
-	pe.gmu.Unlock()
-	pe.syncMirrorsDrained(g)
-	pe.mgr.ReleaseAll(g)
-	if respawn && active {
-		pe.wg.Add(1)
-		go pe.rerunGlobal(g)
+	e.gmu.Unlock()
+	e.chargeCrossDrained(x)
+	e.mgr.ReleaseAll(x.g)
+	if respawn && x.status == txActive {
+		e.wg.Add(1)
+		go e.rerunCross(x)
 	}
 }
 
-// rerunGlobal drives an un-committed global transaction back to commit
-// through the cross-partition path, with the runner's retry discipline
-// — the partitioned analogue of runTxn for cascade re-spawns.
-func (pe *PartitionedEngine) rerunGlobal(g int) {
-	defer pe.wg.Done()
+// rerunCross drives an un-committed cross-partition transaction back to
+// commit through the cross-partition path, with the runner's retry
+// discipline — the analogue of runTxn for cascade re-spawns.
+func (e *Engine) rerunCross(x *xtxn) {
+	defer e.wg.Done()
 	for {
-		pe.gmu.Lock()
-		gen := pe.ggen[g]
-		active := pe.gstatus[g] == txActive && pe.fatal == nil
-		tx := pe.fullSys.Txns[g]
-		pe.gmu.Unlock()
-		if !active {
+		gen, status, _, fatal := e.crossState(x)
+		if status != txActive || fatal != nil {
 			return
 		}
-		again, delay := pe.attemptGlobal(g, gen, tx)
+		again, delay := e.attemptCross(x, gen)
 		if !again {
 			return
 		}
@@ -781,25 +484,116 @@ func (pe *PartitionedEngine) rerunGlobal(g int) {
 	}
 }
 
-// attemptGlobal executes one full pass over g's declared steps and
+// attemptCross executes one full pass over x's declared steps and
 // commits, reporting the retry policy (runner.attempt's contract).
-func (pe *PartitionedEngine) attemptGlobal(g, gen int, tx model.Txn) (bool, time.Duration) {
-	for pos := 0; pos < tx.Len(); pos++ {
-		ok, again, delay := pe.crossStep(g, gen, tx.Steps[pos])
+func (e *Engine) attemptCross(x *xtxn, gen int) (bool, time.Duration) {
+	for _, st := range x.tx.Steps {
+		ok, again, delay := e.crossStep(x, gen, st)
 		if !ok {
 			return again, delay
 		}
 	}
-	_, again, delay := pe.crossCommit(g, gen)
+	_, again, delay := e.crossCommit(x, gen)
 	return again, delay
 }
 
-// readGlobState snapshots g's generation, status, cause and the fatal
-// error (the cross path's readTxnState; gmu suffices because global
-// state transitions hold it).
-func (pe *PartitionedEngine) readGlobState(g int) (gen int, status txnStatus, cause, fatal error) {
-	pe.gmu.Lock()
-	gen, status, cause, fatal = pe.ggen[g], pe.gstatus[g], pe.gcause[g], pe.fatal
-	pe.gmu.Unlock()
-	return
+// mergeDrained walks the partitions' logs in global execution order —
+// ascending by shared sequence tag, a global event's replicas (equal
+// tags) visited once — calling visit with the partition and log index
+// of each event's first replica. Per-partition logs are strictly
+// tag-ascending by construction, so the walk is linear.
+// Cross-partition drain held (or the engine single-threaded).
+func (e *Engine) mergeDrained(visit func(p, i int)) {
+	tags := make([][]uint64, len(e.parts))
+	for p, r := range e.parts {
+		tags[p] = r.rec.Tags()
+	}
+	idx := make([]int, len(e.parts))
+	for {
+		best := -1
+		var bt uint64
+		for p := range tags {
+			if idx[p] < len(tags[p]) && (best == -1 || tags[p][idx[p]] < bt) {
+				best, bt = p, tags[p][idx[p]]
+			}
+		}
+		if best == -1 {
+			return
+		}
+		visit(best, idx[best])
+		for p := range tags {
+			for idx[p] < len(tags[p]) && tags[p][idx[p]] == bt {
+				idx[p]++
+			}
+		}
+	}
+}
+
+// mergedDrained rebuilds the global execution order from the
+// per-partition logs, with each event's partition-local owner
+// translated back to its engine-wide id.
+func (e *Engine) mergedDrained() model.Schedule {
+	logs := make([]model.Schedule, len(e.parts))
+	total := 0
+	for p, r := range e.parts {
+		logs[p] = r.rec.Events()
+		total += len(logs[p])
+	}
+	out := make(model.Schedule, 0, total)
+	e.mergeDrained(func(p, i int) {
+		ev := logs[p][i]
+		out = append(out, model.Ev{T: model.TID(e.parts[p].mgr.owner(int(ev.T))), S: ev.S})
+	})
+	return out
+}
+
+// mergedStateDrained builds the engine-wide structural state: each
+// entity's existence is taken from its home partition, the
+// authoritative replica — other replicas may miss inserts and deletes
+// that were local to another partition (cross-partition drain held).
+func (e *Engine) mergedStateDrained() model.State {
+	out := model.NewState()
+	for p, r := range e.parts {
+		for ent := range r.rec.State() {
+			if model.PartitionOf(ent, len(e.parts)) == p {
+				out[ent] = struct{}{}
+			}
+		}
+	}
+	return out
+}
+
+// sysSnapshot returns a stable copy of the engine-wide system.
+func (e *Engine) sysSnapshot() *model.System {
+	e.gmu.Lock()
+	defer e.gmu.Unlock()
+	return &model.System{Init: e.init, Txns: append([]model.Txn(nil), e.fullSys.Txns...)}
+}
+
+// statsDrained merges the per-partition and cross-partition metrics
+// (cross-partition drain held). Events counts the merged log — each
+// global event once — plus truncated prefixes (per-replica when
+// TruncateLog is on; exact with it off).
+func (e *Engine) statsDrained() Metrics {
+	e.gmu.Lock()
+	m := e.gmet
+	e.gmu.Unlock()
+	e.mergeDrained(func(int, int) { m.Events++ })
+	for _, r := range e.parts {
+		pm := r.met
+		m.Commits += pm.Commits
+		m.GaveUp += pm.GaveUp
+		m.DeadlockAborts += pm.DeadlockAborts
+		m.PolicyAborts += pm.PolicyAborts
+		m.ImproperAborts += pm.ImproperAborts
+		m.CascadeAborts += pm.CascadeAborts
+		m.LeaseExpired += pm.LeaseExpired
+		st := r.rec.Stats()
+		m.Replayed += st.Replayed
+		m.Events += st.Truncated
+		m.Wait += time.Duration(r.waitNs.Load())
+	}
+	m.Wait += time.Duration(e.waitNs.Load())
+	m.Elapsed = time.Since(e.start)
+	return m
 }

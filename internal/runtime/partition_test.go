@@ -11,23 +11,6 @@ import (
 	"locksafe/internal/workload"
 )
 
-// TestNewSessionEngineSinglePartition pins the "partitions=1 is the
-// existing engine exactly" guarantee: the partitioned construction adds
-// no code to the single-partition path.
-func TestNewSessionEngineSinglePartition(t *testing.T) {
-	for _, p := range []int{0, 1} {
-		cfg := Config{Policy: policy.TwoPhase{}, Partitions: p}
-		se := NewSessionEngine(model.NewState("a"), cfg)
-		if _, ok := se.(*Engine); !ok {
-			t.Fatalf("Partitions=%d: NewSessionEngine returned %T, want *Engine", p, se)
-		}
-	}
-	se := NewSessionEngine(model.NewState("a"), Config{Policy: policy.TwoPhase{}, Partitions: 2})
-	if _, ok := se.(*PartitionedEngine); !ok {
-		t.Fatalf("Partitions=2: NewSessionEngine returned %T, want *PartitionedEngine", se)
-	}
-}
-
 // TestPartitionOfStable pins the entity hash: routing is a pure
 // function of the entity name and the partition count, so a session's
 // home partition never depends on engine state.
@@ -102,7 +85,7 @@ func drivePartitioned(sys *model.System, sched model.Schedule, cfg Config, commi
 // states, monitor keys, serializability verdicts and abort accounting.
 // The single-threaded drive makes the comparison exact: events are
 // admitted in feed order everywhere, so the tag-merged partitioned log
-// must equal the single engine's log event for event.
+// must equal the serialized batch log event for event.
 func TestPartitionEquivalenceRandomTraces(t *testing.T) {
 	arms := []struct {
 		name   string

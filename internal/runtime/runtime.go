@@ -3,7 +3,7 @@
 // two modes: Run executes a complete pre-generated workload batch-style
 // (every transaction driven by its own goroutine to commit or
 // abandonment), and Engine serves a *long-lived, open-ended* population
-// — clients Open sessions by declaring a transaction body and drive its
+// — clients open sessions by declaring a transaction body and drive its
 // steps one at a time (Session.Step/Commit/Abort), with lease timeouts
 // reaping abandoned sessions. The network lock service lockd
 // (locksafe/internal/server, cmd/lockd) is a thin transport over the
@@ -52,24 +52,25 @@
 // cascade, so compaction restarts from the earliest invalidated
 // checkpoint and converges.
 //
-// Sessions ride the same machinery: Engine.Open appends the declared
-// transaction to the system under a full gate drain (growing the
-// monitors and the recovery core via their Grow methods), Session.Step
-// goes through exactly the batch loop's lock-acquisition and admission
-// paths, and a committed session un-committed by a cascade is re-run by
-// the engine itself from its declared body. DESIGN.md's "Service layer"
-// section gives the argument that this preserves the gate-equivalence
-// invariants; TestSessionGateEquivalence pins it end to end.
+// Sessions ride the same machinery: Engine.OpenSession appends the
+// declared transaction to the system under a full gate drain (growing
+// the monitors and the recovery core via their Grow methods),
+// Session.Step goes through exactly the batch loop's lock-acquisition
+// and admission paths, and a committed session un-committed by a
+// cascade is re-run by the engine itself from its declared body.
+// DESIGN.md's "Service layer" section gives the argument that this
+// preserves the gate-equivalence invariants; TestSessionGateEquivalence
+// pins it end to end.
 //
-// With Config.Partitions > 1, NewSessionEngine returns a
-// PartitionedEngine instead: N entity-hash partitions, each a complete
-// engine (own striped gate, sequencer, recovery core), sharing only the
-// lock manager. Sessions whose declared bodies are partition-local run
-// entirely on their home partition; bodies spanning partitions and
-// global-footprint events go through a cross-partition drain that
-// quiesces every partition — see partition.go and DESIGN.md
-// ("Partitioned engines"). TestPartitionEquivalenceRandomTraces pins
-// 1-, 2- and 8-partition digests identical to the single engine's.
+// The session engine is partitioned for every Config.Partitions,
+// including 1: N entity-hash partitions, each a runner (own striped
+// gate, sequencer, recovery core), sharing only the lock manager.
+// Sessions whose declared bodies are partition-local run entirely on
+// their home partition; bodies spanning partitions and global-footprint
+// events go through a cross-partition drain that quiesces every
+// partition — see partition.go and DESIGN.md ("Partitioned engines").
+// TestPartitionEquivalenceRandomTraces pins 1-, 2- and 8-partition
+// digests identical to the serialized batch reference.
 package runtime
 
 import (
@@ -148,7 +149,7 @@ type Config struct {
 	// otherwise pay a full drain of GateStripes mutexes to buy no
 	// concurrency.
 	SerializedGate bool
-	// Lease is the session lease of a long-lived Engine: how long a
+	// Lease is the session lease of an Engine: how long a
 	// Session may sit idle between requests before the engine aborts it,
 	// releases its locks and abandons it (Metrics.LeaseExpired). The
 	// lease clock runs only between session requests — a session parked
@@ -162,21 +163,19 @@ type Config struct {
 	// and calls Engine.Reap itself, which makes lease expiry fully
 	// deterministic.
 	Clock func() time.Time
-	// Partitions selects the entity-partitioned session engine
-	// (NewSessionEngine): the entity space is hashed into this many
-	// partitions, each a full Engine with its own gate, sequencer and
-	// recovery core; sessions whose declared body stays inside one
-	// partition run there with zero cross-partition coordination, and
-	// the rest go through the cross-partition drain. 0 or 1 means the
-	// plain single Engine. Batch Run and NewEngine ignore the field.
+	// Partitions is the session engine's partition count: the entity
+	// space is hashed into this many partitions, each with its own gate,
+	// sequencer and recovery core; sessions whose declared body stays
+	// inside one partition run there with zero cross-partition
+	// coordination, and the rest go through the cross-partition drain.
+	// 0 means 1. Batch Run ignores the field.
 	Partitions int
-	// DataDir enables durability: the engine's recovery core writes an
-	// append-only WAL (plus checkpoint snapshots) under this directory,
-	// and NewDurableEngine/NewDurableSessionEngine restore the committed
-	// schedule from it on start. Empty means memory-only — the durable
-	// constructors then behave byte-identically to the plain ones. With
-	// Partitions > 1 each partition persists into DataDir/p<i>. Batch
-	// Run and the non-durable constructors ignore the field.
+	// DataDir enables durability: each partition's recovery core writes
+	// an append-only WAL (plus checkpoint snapshots) under
+	// PartitionDir(DataDir, p), and NewDurableSessionEngine restores the
+	// committed schedule from it on start. Empty means memory-only —
+	// the durable constructor then behaves exactly like
+	// NewSessionEngine. Batch Run and NewSessionEngine ignore the field.
 	DataDir string
 	// Fsync syncs the WAL after every append batch. Required for the
 	// "commit acked implies commit recovered" guarantee; without it a
@@ -299,13 +298,13 @@ const (
 // bounded neighborhood.
 const maxStripeBuf = 8
 
-// lockSpace is a runner's view of its lock manager. Standalone runners
-// (batch Run, a plain Engine) own their manager and address it by local
-// transaction index. The engines of a PartitionedEngine instead *share*
-// one manager — cross-partition deadlock cycles threading a global
-// transaction through two partitions' locals are only visible to a
-// detector that sees every edge — and translate their local transaction
-// indices to engine-wide owner ids through glob. The mapping is
+// lockSpace is a runner's view of its lock manager. A batch Run's
+// runner owns its manager and addresses it by local transaction index.
+// The partition runners of an Engine instead *share* one manager —
+// cross-partition deadlock cycles threading a global transaction
+// through two partitions' locals are only visible to a detector that
+// sees every edge — and translate their local transaction indices to
+// engine-wide owner ids through glob. The mapping is
 // append-only: registrations append under the partition's full gate
 // drain and publish the longer slice header, and lock calls (which run
 // before any stripe is held) read it with an atomic load.
@@ -382,8 +381,8 @@ type runner struct {
 	pending []model.Ev
 	// pendTags carries pending's per-event tags in lockstep: global
 	// sequence numbers drawn from tagSrc at sequencing time, so the
-	// per-partition logs of a PartitionedEngine can be merged back into
-	// one global execution order. Standalone runners own their tagSrc
+	// per-partition logs of an Engine can be merged back into one
+	// global execution order. A batch Run's runner owns its tagSrc
 	// and the tags are simply 0,1,2,…
 	pendTags []uint64
 	tagSrc   *atomic.Uint64
@@ -398,7 +397,7 @@ type runner struct {
 	// (status, gen, attempts, abortCause) are read under any stripe set
 	// covering that transaction and written only under a full drain;
 	// everything else — the recovery core, the aggregate metrics, fatal,
-	// the transaction list itself (grown by Engine.Open via sys.Add) —
+	// the transaction list itself (grown by OpenSession via sys.Add) —
 	// is touched only under a full drain. fatal is additionally *read*
 	// on the fast path, which is safe because its writers hold every
 	// stripe including the reader's.
@@ -414,7 +413,7 @@ type runner struct {
 	// session client can be told what killed it.
 	abortCause []error
 	// mirror marks rows registered on behalf of a cross-partition
-	// (global) transaction by a PartitionedEngine: their lifecycle is
+	// (global) transaction by an Engine: their lifecycle is
 	// owned by the cross-partition drain, never by this runner's local
 	// paths. A local abort cascading onto a mirror row would mean a
 	// partition-local event invalidated a global one — impossible while
@@ -463,11 +462,11 @@ func Run(sys *model.System, cfg Config) (*Result, error) {
 }
 
 func newRunner(sys *model.System, cfg Config) *runner {
-	return newRunnerShared(sys, cfg, nil)
+	return newRunnerShared(sys, cfg.withDefaults(), nil)
 }
 
-// sharedParts is the wiring a PartitionedEngine injects into its
-// partition engines: one lock manager (cross-partition deadlock cycles
+// sharedParts is the wiring an Engine injects into its partition
+// runners: one lock manager (cross-partition deadlock cycles
 // need a single detector), one global event-tag source (per-partition
 // logs merge by tag), and one MPL semaphore (a session occupies one
 // slot engine-wide, wherever it runs).
@@ -477,8 +476,10 @@ type sharedParts struct {
 	sem  chan struct{}
 }
 
+// newRunnerShared builds a runner from a configuration that already
+// went through withDefaults (which is not idempotent: a literal zero it
+// produced, such as no retries, would read as "default" again).
 func newRunnerShared(sys *model.System, cfg Config, sh *sharedParts) *runner {
-	cfg = cfg.withDefaults()
 	r := &runner{
 		sys:        sys,
 		cfg:        cfg,
@@ -568,7 +569,7 @@ func (r *runner) attempt(t int) (bool, time.Duration) {
 		return false, 0
 	}
 	gen := r.gen[t]
-	// The transaction list is grown by Engine.Open under a full drain,
+	// The transaction list is grown by Engine.OpenSession under a full drain,
 	// so the declared body must be read under a stripe.
 	tx := r.sys.Txns[t]
 	r.gate.unlockSet(tset)
@@ -989,7 +990,7 @@ func (r *runner) eraseDrained(victims map[int]bool) {
 // cascade victim: charge the retry, un-commit and re-spawn if it had
 // already finished, release its locks (waking it with a cancellation if
 // parked). Called with a full drain held — by eraseDrained's loop and
-// by the partitioned engine's cross-partition compaction when a local
+// by the engine's cross-partition compaction when a local
 // transaction falls victim to a global abort.
 func (r *runner) cascadeVictimDrained(cascade int) {
 	r.met.CascadeAborts++

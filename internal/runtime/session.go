@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"locksafe/internal/lockmgr"
 	"locksafe/internal/model"
 	"locksafe/internal/recovery"
 )
@@ -58,15 +59,28 @@ var (
 	ErrNotResumable = errors.New("session is not parked")
 )
 
-// Engine is a long-lived transaction runtime: the same sharded lock
+// errParked is the abort cause recorded for a parked session's erased
+// attempt.
+var errParked = errors.New("session parked (connection lost)")
+
+// Engine is the long-lived transaction runtime: the same sharded lock
 // manager, footprint-striped admission gate and checkpointed recovery
 // core as the batch Run, but with an open-ended session population.
-// Open appends a declared transaction to the system (growing the
-// monitors and the recovery core under a full gate drain) and returns a
+// OpenSession appends a declared transaction to the system (growing the
+// monitors and the recovery core under a gate drain) and returns a
 // Session the client paces; abort/retry generations, cascading aborts
-// and committed-transaction re-spawn work exactly as in batch mode —
-// a re-spawned transaction is driven by the engine itself from its
+// and committed-transaction re-spawn work exactly as in batch mode — a
+// re-spawned transaction is driven by the engine itself from its
 // declared body.
+//
+// The entity space is hashed into Config.Partitions partitions, each a
+// runner with its own gate, sequencer and recovery core, sharing one
+// lock manager, one MPL semaphore and one event-tag source. A session
+// whose declared body stays inside one partition runs on that
+// partition's runner alone; the rest go through the cross-partition
+// drain (partition.go). Everything session-level — the lifecycle lock,
+// the session registry, the lease reaper, Close and restore — is
+// engine-wide and written once.
 //
 // With Config.Lease > 0 the engine enforces session leases: a session
 // idle between requests for longer than the lease is aborted and
@@ -75,12 +89,24 @@ var (
 // enforces leases on wall-clock time; with an injected Clock the
 // embedder calls Reap itself.
 type Engine struct {
-	r *runner
+	cfg   Config
+	parts []*runner
+	mgr   *lockmgr.Manager
+	tags  atomic.Uint64
+	// fpMon is a monitor over an empty system consulted only for
+	// Footprint (pure: event + static policy configuration), used to
+	// classify declared bodies at open.
+	fpMon model.Monitor
+	init  model.State
+
 	// start anchors Metrics.Elapsed (always wall clock, even with an
 	// injected lease Clock).
 	start time.Time
 	now   func() time.Time
 	lease time.Duration
+
+	sem chan struct{}  // engine-wide MPL, shared with the partitions
+	wg  sync.WaitGroup // cross-partition re-runs (rerunCross)
 
 	// lifecycle: session operations hold it for read; Close holds it
 	// for write to wait out in-flight operations.
@@ -88,60 +114,92 @@ type Engine struct {
 	closed    atomic.Bool
 	closedCh  chan struct{} // closed by Close; unblocks MPL waiters
 
+	// waitNs accumulates lock-wait time of cross-partition steps.
+	waitNs atomic.Int64
+
+	// gmu guards the engine-wide bookkeeping below. It is a leaf lock:
+	// held briefly, never while acquiring a gate drain.
+	gmu sync.Mutex
+	// fullSys is the engine-wide system: every session's declared body
+	// under its engine-wide id, in open order. It is the system the
+	// merged log is verified against.
+	fullSys *model.System
+	// xs holds the cross-partition transactions by engine-wide id.
+	xs    map[int]*xtxn
+	gmet  Metrics // metrics attributed to cross-partition transactions
+	fatal error
+
+	// mu guards the session registry: the current incarnation of every
+	// open session by engine-wide id, and how many of them are attached
+	// (not parked). idle is closed when attached drops to zero. Leaf
+	// lock, like gmu.
 	mu       sync.Mutex
 	sessions map[int]*Session
-
-	// maxTID is one past the highest transaction index ever issued, so
-	// Resume can tell an unknown sid from a finished one without a drain.
-	maxTID atomic.Int64
-	// wallClock reports that no Clock was injected, so startReaper may
-	// start the background lease reaper.
-	wallClock bool
+	attached int
+	idle     chan struct{}
 
 	reapStop chan struct{}
 	reapDone chan struct{}
 }
 
-// NewEngine returns a running engine over the given initial structural
-// state (nil means the empty database). The configuration is the batch
-// Config; MPL bounds concurrently open sessions (Open blocks until a
-// slot frees), and Lease/Clock control session leases.
-func NewEngine(init model.State, cfg Config) *Engine {
-	return newEngineShared(init, cfg, nil)
-}
+// SessionEngine and Sess name the engine and its session handle for
+// callers written against those names.
+type (
+	SessionEngine = *Engine
+	Sess          = *Session
+)
 
-// newEngineShared is NewEngine with the partitioned engine's shared
-// wiring (lock manager, tag source, MPL semaphore) injected; sh == nil
-// means standalone.
-func newEngineShared(init model.State, cfg Config, sh *sharedParts) *Engine {
-	e := newEngineCore(init, cfg, sh)
+// NewSessionEngine returns a running memory-only engine over the given
+// initial structural state (nil means the empty database), replicated
+// into cfg.Partitions entity-hash partitions. MPL bounds concurrently
+// open sessions (OpenSession blocks until a slot frees), and
+// Lease/Clock control session leases. DataDir is ignored; see
+// NewDurableSessionEngine.
+func NewSessionEngine(init model.State, cfg Config) *Engine {
+	e := newEngine(init, cfg)
 	e.startReaper()
 	return e
 }
 
-// newEngineCore builds the engine without starting the background
-// reaper, so the durable constructor can restore the persisted history
-// before any concurrent machinery runs.
-func newEngineCore(init model.State, cfg Config, sh *sharedParts) *Engine {
+// newEngine builds the engine without starting the background reaper,
+// so the durable constructor can restore the persisted history before
+// any concurrent machinery runs.
+func newEngine(init model.State, cfg Config) *Engine {
+	cfg = cfg.withDefaults()
 	e := &Engine{
-		r:        newRunnerShared(model.NewSystem(init.Clone()), cfg, sh),
+		cfg:      cfg,
+		mgr:      lockmgr.NewSharded(cfg.Shards),
+		fpMon:    cfg.Policy.NewMonitor(model.NewSystem(init.Clone())),
+		init:     init.Clone(),
 		start:    time.Now(),
 		now:      cfg.Clock,
 		lease:    cfg.Lease,
 		closedCh: make(chan struct{}),
+		fullSys:  model.NewSystem(init.Clone()),
+		xs:       make(map[int]*xtxn),
 		sessions: make(map[int]*Session),
 	}
 	if e.now == nil {
 		e.now = time.Now
-		e.wallClock = true
+	}
+	sh := &sharedParts{mgr: e.mgr, tags: &e.tags}
+	if cfg.MPL > 0 {
+		e.sem = make(chan struct{}, cfg.MPL)
+		sh.sem = e.sem
+	}
+	pcfg := cfg
+	pcfg.MPL = 0 // the shared semaphore is injected, not re-created
+	e.parts = make([]*runner, cfg.Partitions)
+	for p := range e.parts {
+		e.parts[p] = newRunnerShared(model.NewSystem(init.Clone()), pcfg, sh)
 	}
 	return e
 }
 
 // startReaper starts the background lease reaper if the engine runs on
-// the wall clock with leases enabled. Idempotent.
+// the wall clock with leases enabled.
 func (e *Engine) startReaper() {
-	if e.wallClock && e.lease > 0 && e.reapStop == nil {
+	if e.cfg.Clock == nil && e.lease > 0 {
 		e.reapStop = make(chan struct{})
 		e.reapDone = make(chan struct{})
 		go e.reapLoop()
@@ -176,16 +234,31 @@ type sessState struct {
 	// parks counts Interrupts; a Session object whose snapshot disagrees
 	// predates a park and is permanently fenced from the engine.
 	parks atomic.Int64
+	// attached reports that the session is counted in Engine.attached
+	// (open or resumed, and neither parked nor finished). Guarded by
+	// Engine.mu.
+	attached bool
 }
 
 // Session is one client-paced transaction of an Engine. A Session is
 // not safe for concurrent use: each session serves one client, and its
 // methods must not overlap (the network server serializes a session's
-// requests through one worker goroutine).
+// requests through one worker goroutine). Cancel and Interrupt are the
+// exceptions, safe concurrently with an in-flight call.
+//
+// A partition-local session is driven by its home partition's runner
+// (r, t); a cross-partition one by the cross-partition drain (x). Only
+// the methods reading the transaction's state, executing a step,
+// committing and ending an attempt under a drain tell the two apart.
 type Session struct {
-	e    *Engine
-	t    int
-	sid  int // engine-wide session id (equals t standalone; the global id under a PartitionedEngine)
+	e *Engine
+	g int // engine-wide session id
+	// r and t are the home partition's runner and the transaction's row
+	// in it; nil and unused for a cross-partition session.
+	r *runner
+	t int
+	x *xtxn // cross-partition bookkeeping; nil for a local session
+	// tx is the declared body.
 	tx   model.Txn
 	gen  int // generation of the current attempt, from the client's view
 	pos  int // declared steps admitted in the current attempt
@@ -197,19 +270,85 @@ type Session struct {
 	st *sessState
 }
 
-// Open appends the declared transaction to the engine's system and
-// returns a session for it. The full step sequence must be declared up
-// front: the policies need the body (locked points, tree-locking), and
-// cascade recovery re-runs committed transactions from it. The body
+// OpenSession appends the declared transaction to the engine's system
+// and returns a session for it. The full step sequence must be declared
+// up front: the policies need the body (locked points, tree-locking),
+// and cascade recovery re-runs committed transactions from it. The body
 // must be well-formed and lock each entity at most once — malformed
 // bodies are rejected here so a misbehaving client cannot trip the
-// runtime's internal-invariant failures. With Config.MPL set, Open
-// blocks until a session slot is free.
-func (e *Engine) Open(tx model.Txn) (*Session, error) {
+// runtime's internal-invariant failures. A body that stays inside one
+// partition is opened on that partition alone (one hash per declared
+// entity and nothing else); the rest register a mirror row in every
+// partition under the cross-partition drain. With Config.MPL set,
+// OpenSession blocks until a session slot is free.
+func (e *Engine) OpenSession(tx model.Txn) (*Session, error) {
 	if err := checkDeclared(tx); err != nil {
 		return nil, err
 	}
-	return e.open(tx, -1)
+	if e.sem != nil {
+		select {
+		case e.sem <- struct{}{}:
+		case <-e.closedCh:
+			return nil, ErrClosed
+		}
+	}
+	s, err := e.open(tx)
+	if err != nil && e.sem != nil {
+		<-e.sem
+	}
+	return s, err
+}
+
+// open is OpenSession after body validation and slot acquisition. The
+// session is registered under the lifecycle read lock, so Close's
+// exclusive pass cannot miss it.
+func (e *Engine) open(tx model.Txn) (*Session, error) {
+	e.lifecycle.RLock()
+	defer e.lifecycle.RUnlock()
+	if e.closed.Load() {
+		return nil, ErrClosed
+	}
+	homeP, global := e.classify(tx)
+	e.gmu.Lock()
+	g := int(e.fullSys.Add(tx))
+	e.gmu.Unlock()
+	st := &sessState{token: newToken()}
+	var deadline int64
+	if e.lease > 0 {
+		deadline = e.now().Add(e.lease).UnixNano()
+	}
+	st.deadline.Store(deadline)
+	// The declaration is durable before the open is acknowledged, so a
+	// restore can rebuild the transaction population (and its resume
+	// credentials) from the WAL alone.
+	o := recovery.OpenRec{G: g, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: deadline}
+	s := &Session{e: e, g: g, tx: tx, st: st}
+	if global {
+		x, err := e.openCross(g, tx, o)
+		if err != nil {
+			return nil, err
+		}
+		s.x = x
+	} else {
+		r := e.parts[homeP]
+		r.gate.drain()
+		r.flushPending()
+		if r.fatal == nil {
+			s.r, s.t = r, r.addTxnDrained(tx, g, false)
+			r.persistOpenDrained(o)
+		}
+		fatal := r.fatal
+		r.gate.undrain()
+		if fatal != nil {
+			return nil, fmt.Errorf("runtime: engine failed: %w", fatal)
+		}
+	}
+	if e.sem != nil {
+		st.holdsSlot.Store(true)
+	}
+	s.touch()
+	e.attach(s)
+	return s, nil
 }
 
 // checkDeclared validates a declared transaction body at the API edge.
@@ -223,81 +362,86 @@ func checkDeclared(tx model.Txn) error {
 	return nil
 }
 
-// open is Open after body validation. owner >= 0 is the engine-wide
-// lock-manager owner id a PartitionedEngine assigns to a session it
-// routes here (the engine's lockSpace is in translation mode); owner < 0
-// means standalone (identity) ownership.
-func (e *Engine) open(tx model.Txn, owner int) (*Session, error) {
-	r := e.r
-	if r.sem != nil {
-		select {
-		case r.sem <- struct{}{}:
-		case <-e.closedCh:
-			return nil, ErrClosed
-		}
-	}
-	e.lifecycle.RLock()
-	defer e.lifecycle.RUnlock()
-	if e.closed.Load() {
-		if r.sem != nil {
-			<-r.sem
-		}
-		return nil, ErrClosed
-	}
-
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal != nil {
-		err := r.fatal
-		r.gate.undrain()
-		if r.sem != nil {
-			<-r.sem
-		}
-		return nil, fmt.Errorf("runtime: engine failed: %w", err)
-	}
-	t := r.addTxnDrained(tx, owner, false)
-	sid := t
-	if owner >= 0 {
-		sid = owner
-	}
-	st := &sessState{token: newToken()}
-	var deadline int64
-	if e.lease > 0 {
-		deadline = e.now().Add(e.lease).UnixNano()
-	}
-	st.deadline.Store(deadline)
-	// The declaration is durable before the open is acknowledged, so a
-	// restore can rebuild the transaction population (and its resume
-	// credentials) from the WAL alone.
-	r.persistOpenDrained(recovery.OpenRec{G: sid, Name: tx.Name, Steps: tx.Steps, Token: st.token, Deadline: deadline})
-	if r.fatal != nil {
-		err := r.fatal
-		r.gate.undrain()
-		if r.sem != nil {
-			<-r.sem
-		}
-		return nil, fmt.Errorf("runtime: engine failed: %w", err)
-	}
-	r.gate.undrain()
-
-	if r.sem != nil {
-		st.holdsSlot.Store(true)
-	}
-	s := &Session{e: e, t: t, sid: sid, tx: tx, st: st}
-	e.maxTID.Store(int64(t) + 1)
-	s.touch()
-	e.mu.Lock()
-	e.sessions[t] = s
-	e.mu.Unlock()
-	return s, nil
+// addTxnDrained appends one transaction row to the runner: the system,
+// the recovery core and every per-transaction bookkeeping slice grow in
+// lockstep, and the lock-owner mapping learns the row's engine-wide
+// owner id. mirror marks a row registered on behalf of a
+// cross-partition transaction. Called with a full drain held,
+// sequencer flushed.
+func (r *runner) addTxnDrained(tx model.Txn, owner int, mirror bool) int {
+	t := int(r.sys.Add(tx))
+	r.rec.Grow(len(r.sys.Txns))
+	r.status = append(r.status, txActive)
+	r.gen = append(r.gen, 0)
+	r.attempts = append(r.attempts, 0)
+	r.abortCause = append(r.abortCause, nil)
+	r.mirror = append(r.mirror, mirror)
+	r.mgr.register(owner)
+	return t
 }
 
-// TID returns the session's transaction index in the engine's system.
-func (s *Session) TID() int { return s.t }
+// readTxnState snapshots t's generation, status, abort cause and the
+// fatal error under t's stripe.
+func (r *runner) readTxnState(t int) (gen int, status txnStatus, cause, fatal error) {
+	var buf [maxStripeBuf]int
+	tset := r.txnStripes(buf[:0], t)
+	r.gate.lockSet(tset)
+	gen, status, cause, fatal = r.gen[t], r.status[t], r.abortCause[t], r.fatal
+	r.gate.unlockSet(tset)
+	return
+}
+
+// attach registers s as its transaction's current incarnation and
+// counts it attached. It refuses (false) a session that already
+// finished — a reaper or drain that won a race with Resume.
+func (e *Engine) attach(s *Session) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if s.st.finished.Load() {
+		return false
+	}
+	e.sessions[s.g] = s
+	if !s.st.attached {
+		s.st.attached = true
+		if e.attached == 0 {
+			e.idle = make(chan struct{})
+		}
+		e.attached++
+	}
+	return true
+}
+
+// detachLocked stops counting st as attached, signalling idle when the
+// count reaches zero (mu held).
+func (e *Engine) detachLocked(st *sessState) {
+	if st.attached {
+		st.attached = false
+		e.attached--
+		if e.attached == 0 {
+			close(e.idle)
+		}
+	}
+}
+
+// release deregisters the session and returns its MPL slot, exactly
+// once (the client's own finish can race a reaper's; a parked session
+// gave its slot back at the park, which holdsSlot remembers).
+func (e *Engine) release(s *Session) {
+	if s.st.finished.Swap(true) {
+		return
+	}
+	e.mu.Lock()
+	delete(e.sessions, s.g)
+	e.detachLocked(s.st)
+	e.mu.Unlock()
+	if e.sem != nil && s.st.holdsSlot.Swap(false) {
+		<-e.sem
+	}
+}
 
 // SID returns the engine-wide session id, the identity a client quotes
 // to Resume after a connection loss.
-func (s *Session) SID() int { return s.sid }
+func (s *Session) SID() int { return s.g }
 
 // Token returns the server-issued resume credential.
 func (s *Session) Token() uint64 { return s.st.token }
@@ -346,48 +490,112 @@ func (s *Session) end() {
 	s.e.lifecycle.RUnlock()
 }
 
-// release deregisters the session and returns its MPL slot, exactly
-// once (the client's own finish can race a reaper's; a parked session
-// gave its slot back at the park, which holdsSlot remembers).
-func (e *Engine) release(s *Session) {
-	if s.st.finished.Swap(true) {
+// state snapshots the transaction's generation, status, abort cause and
+// the fatal error.
+func (s *Session) state() (gen int, status txnStatus, cause, fatal error) {
+	if s.x != nil {
+		return s.e.crossState(s.x)
+	}
+	return s.r.readTxnState(s.t)
+}
+
+// exec executes one declared step of the current attempt, reporting
+// whether it was admitted.
+func (s *Session) exec(st model.Step) bool {
+	var ok bool
+	if s.x != nil {
+		ok, _, _ = s.e.crossStep(s.x, s.gen, st)
+	} else {
+		ok, _, _ = s.r.execStep(s.t, s.gen, st)
+	}
+	return ok
+}
+
+// commitAttempt commits the current attempt, reporting whether the
+// transaction reached txCommitted.
+func (s *Session) commitAttempt() bool {
+	var committed bool
+	if s.x != nil {
+		committed, _, _ = s.e.crossCommit(s.x, s.gen)
+	} else {
+		committed, _, _ = s.r.commit(s.t, s.gen)
+	}
+	return committed
+}
+
+// drain takes the drain that owns the transaction's state — its home
+// partition's gate, or the cross-partition drain — and reports whether
+// the transaction is still active on a healthy engine, plus the fatal
+// error if any. Every drain must be released by undrain.
+func (s *Session) drain() (active bool, fatal error) {
+	if s.x != nil {
+		s.e.drainAll()
+		fatal = s.e.anyFatalDrained()
+		return fatal == nil && s.x.status == txActive, fatal
+	}
+	r := s.r
+	r.gate.drain()
+	r.flushPending()
+	return r.fatal == nil && r.status[s.t] == txActive, r.fatal
+}
+
+// undrain releases the drain taken by drain; with shed it then tears
+// down every lock the transaction holds, waking a parked acquisition
+// with a cancellation.
+func (s *Session) undrain(shed bool) {
+	if s.x != nil {
+		s.e.undrainAll()
+		if shed {
+			s.e.mgr.ReleaseAll(s.g)
+		}
 		return
 	}
-	e.mu.Lock()
-	delete(e.sessions, s.t)
-	e.mu.Unlock()
-	if e.r.sem != nil && s.st.holdsSlot.Swap(false) {
-		<-e.r.sem
+	s.r.gate.undrain()
+	if shed {
+		s.r.mgr.ReleaseAll(s.t)
 	}
 }
 
-// addTxnDrained appends one transaction row to the runner: the system,
-// the recovery core and every per-transaction bookkeeping slice grow in
-// lockstep, and the lock-owner mapping learns the row's engine-wide
-// owner id (no-op for standalone engines). mirror marks a row
-// registered on behalf of a cross-partition transaction.
-// Called with a full drain held, sequencer flushed.
-func (r *runner) addTxnDrained(tx model.Txn, owner int, mirror bool) int {
-	t := int(r.sys.Add(tx))
-	r.rec.Grow(len(r.sys.Txns))
-	r.status = append(r.status, txActive)
-	r.gen = append(r.gen, 0)
-	r.attempts = append(r.attempts, 0)
-	r.abortCause = append(r.abortCause, nil)
-	r.mirror = append(r.mirror, mirror)
-	r.mgr.register(owner)
-	return t
-}
-
-// readTxnState snapshots t's generation, status, abort cause and the
-// fatal error under t's stripe.
-func (r *runner) readTxnState(t int) (gen int, status txnStatus, cause, fatal error) {
-	var buf [maxStripeBuf]int
-	tset := r.txnStripes(buf[:0], t)
-	r.gate.lockSet(tset)
-	gen, status, cause, fatal = r.gen[t], r.status[t], r.abortCause[t], r.fatal
-	r.gate.unlockSet(tset)
-	return
+// endAttemptDrained erases the current attempt's events (cascading as
+// needed) and bumps the generation, recording cause unless nil. With
+// abandon the transaction is also ended, durably: counted in
+// Metrics.GaveUp, and in Metrics.LeaseExpired with lease. Drain held.
+func (s *Session) endAttemptDrained(cause error, abandon, lease bool) {
+	if x := s.x; x != nil {
+		e := s.e
+		e.eraseAllDrained(map[int]bool{s.g: true})
+		e.gmu.Lock()
+		x.gen++
+		if cause != nil {
+			x.cause = cause
+		}
+		if abandon {
+			x.status = txAbandoned
+			e.gmet.GaveUp++
+			if lease {
+				e.gmet.LeaseExpired++
+			}
+		}
+		e.gmu.Unlock()
+		if abandon {
+			e.syncMirrorsDrained(x)
+		}
+		return
+	}
+	r, t := s.r, s.t
+	r.eraseDrained(map[int]bool{t: true})
+	r.gen[t]++
+	if cause != nil {
+		r.abortCause[t] = cause
+	}
+	if abandon {
+		r.status[t] = txAbandoned
+		r.met.GaveUp++
+		if lease {
+			r.met.LeaseExpired++
+		}
+		r.persistStatusDrained(t, recovery.StatusAbandoned)
+	}
 }
 
 // failure translates a torn-down attempt into the session API's error
@@ -399,7 +607,7 @@ func (s *Session) failure() error {
 		s.done = true
 		return fmt.Errorf("%w (session parked; reattach with resume)", ErrCancelled)
 	}
-	gen, status, cause, fatal := s.e.r.readTxnState(s.t)
+	gen, status, cause, fatal := s.state()
 	s.gen, s.pos = gen, 0
 	if fatal != nil {
 		s.done = true
@@ -444,11 +652,10 @@ func (s *Session) Step(st model.Step) error {
 	}
 	// A cascade (or the reaper) may have torn the attempt down since the
 	// last request; notice before doing any work.
-	if gen, status, _, fatal := s.e.r.readTxnState(s.t); fatal != nil || gen != s.gen || status != txActive {
+	if gen, status, _, fatal := s.state(); fatal != nil || gen != s.gen || status != txActive {
 		return s.failure()
 	}
-	ok, _, _ := s.e.r.execStep(s.t, s.gen, st)
-	if !ok {
+	if !s.exec(st) {
 		return s.failure()
 	}
 	s.pos++
@@ -470,8 +677,7 @@ func (s *Session) Commit() error {
 	if s.pos != s.tx.Len() {
 		return fmt.Errorf("%w: %d of %d declared steps executed", ErrStepMismatch, s.pos, s.tx.Len())
 	}
-	committed, _, _ := s.e.r.commit(s.t, s.gen)
-	if !committed {
+	if !s.commitAttempt() {
 		return s.failure()
 	}
 	s.done = true
@@ -495,7 +701,7 @@ func (s *Session) Run() error {
 		if err == nil || !errors.Is(err, ErrAborted) {
 			return err
 		}
-		if d := s.e.r.backoff(k); d > 0 {
+		if d := s.e.backoff(k); d > 0 {
 			time.Sleep(d)
 		}
 	}
@@ -521,19 +727,11 @@ func (s *Session) Abort() error {
 		return err
 	}
 	defer s.end()
-	r := s.e.r
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal == nil && r.status[s.t] == txActive {
-		r.eraseDrained(map[int]bool{s.t: true})
-		r.gen[s.t]++
-		r.status[s.t] = txAbandoned
-		r.met.GaveUp++
-		r.persistStatusDrained(s.t, recovery.StatusAbandoned)
+	active, fatal := s.drain()
+	if active {
+		s.endAttemptDrained(nil, true, false)
 	}
-	fatal := r.fatal
-	r.gate.undrain()
-	r.mgr.ReleaseAll(s.t)
+	s.undrain(true)
 	s.done = true
 	s.e.release(s)
 	if fatal != nil {
@@ -551,37 +749,26 @@ func (s *Session) Abort() error {
 // and subsequent calls fail with ErrCancelled. Cancelling a finished
 // session is a no-op.
 func (s *Session) Cancel() {
-	s.e.forceAbort(s, ErrCancelled, errors.New("session cancelled (connection closed)"), false)
+	s.forceAbort(ErrCancelled, errors.New("session cancelled (connection closed)"), false)
 }
 
 // forceAbort tears down an open session engine-side (lease reaper,
-// shutdown drain): erase its events, release its locks, abandon it.
-// Reports whether the session was actually torn down (false if it
+// shutdown drain, Cancel): erase its events, release its locks, abandon
+// it. Reports whether the session was actually torn down (false if it
 // already finished or the engine is failing).
-func (e *Engine) forceAbort(s *Session, term error, cause error, lease bool) bool {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal != nil || s.st.finished.Load() || r.status[s.t] != txActive {
-		r.gate.undrain()
+func (s *Session) forceAbort(term error, cause error, lease bool) bool {
+	active, _ := s.drain()
+	if !active || s.st.finished.Load() {
+		s.undrain(false)
 		return false
 	}
-	r.eraseDrained(map[int]bool{s.t: true})
-	r.gen[s.t]++
-	r.abortCause[s.t] = cause
-	r.status[s.t] = txAbandoned
-	r.met.GaveUp++
-	if lease {
-		r.met.LeaseExpired++
-	}
-	r.persistStatusDrained(s.t, recovery.StatusAbandoned)
+	s.endAttemptDrained(cause, true, lease)
 	// Publish the terminal sentinel before the teardown wakes anyone:
-	// a parked Step woken by the ReleaseAll below must find term set, or
+	// a parked Step woken by the lock teardown must find term set, or
 	// it would misreport the cause as ErrAbandoned.
 	s.st.term.Store(&term)
-	r.gate.undrain()
-	r.mgr.ReleaseAll(s.t)
-	e.release(s)
+	s.undrain(true)
+	s.e.release(s)
 	return true
 }
 
@@ -593,36 +780,31 @@ func (e *Engine) forceAbort(s *Session, term error, cause error, lease bool) boo
 // Safe to call concurrently with an in-flight owner call, like Cancel;
 // interrupting a finished or already-parked session is a no-op. The
 // network server parks the sessions of a lost connection this way so a
-// resuming client finds them intact.
-func (s *Session) Interrupt() { s.e.interrupt(s) }
-
-func (e *Engine) interrupt(s *Session) {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	if r.fatal != nil || s.st.finished.Load() || r.status[s.t] != txActive || s.st.parked.Load() {
-		r.gate.undrain()
+// resuming client finds them intact. A parked session no longer counts
+// as attached (see Engine.WaitDetached).
+func (s *Session) Interrupt() {
+	active, _ := s.drain()
+	if !active || s.st.finished.Load() || s.st.parked.Load() {
+		s.undrain(false)
 		return
 	}
-	r.eraseDrained(map[int]bool{s.t: true})
-	r.gen[s.t]++
-	r.abortCause[s.t] = errParked
+	s.endAttemptDrained(errParked, false, false)
+	// Detach before the park is published, so a Resume (which needs
+	// parked set) cannot attach first and be uncounted here.
+	s.e.mu.Lock()
+	s.e.detachLocked(s.st)
+	s.e.mu.Unlock()
 	// The fence must rise before anything parked is woken: a woken step
 	// sees the parks mismatch and dies without touching shared cursor
 	// state.
 	s.st.parks.Add(1)
 	s.st.parked.Store(true)
 	s.touch() // the lease window restarts at the park
-	r.gate.undrain()
-	r.mgr.ReleaseAll(s.t)
-	if r.sem != nil && s.st.holdsSlot.Swap(false) {
-		<-r.sem
+	s.undrain(true)
+	if s.e.sem != nil && s.st.holdsSlot.Swap(false) {
+		<-s.e.sem
 	}
 }
-
-// errParked is the abort cause recorded for a parked session's erased
-// attempt.
-var errParked = errors.New("session parked (connection lost)")
 
 // Resume reattaches a parked session by id and token: the single
 // winning caller (concurrent Resumes race on an atomic arbiter) gets a
@@ -631,26 +813,18 @@ var errParked = errors.New("session parked (connection lost)")
 // parked session whose lease deadline has passed is reaped here
 // (deterministically — no dependence on reaper timing) and refused
 // with ErrLeaseExpired.
-func (e *Engine) Resume(sid int, token uint64) (Sess, error) {
+func (e *Engine) Resume(sid int, token uint64) (*Session, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	s, err := e.resumeLocal(sid, token)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// resumeLocal is Resume on the partition-local transaction index, split
-// out so a PartitionedEngine can route a global sid to its home
-// partition's row.
-func (e *Engine) resumeLocal(t int, token uint64) (*Session, error) {
-	if t < 0 || int64(t) >= e.maxTID.Load() {
+	e.gmu.Lock()
+	issued := sid >= 0 && sid < len(e.fullSys.Txns)
+	e.gmu.Unlock()
+	if !issued {
 		return nil, ErrUnknownSession
 	}
 	e.mu.Lock()
-	cur := e.sessions[t]
+	cur := e.sessions[sid]
 	e.mu.Unlock()
 	if cur == nil {
 		return nil, ErrSessionDone
@@ -660,7 +834,7 @@ func (e *Engine) resumeLocal(t int, token uint64) (*Session, error) {
 		return nil, ErrBadToken
 	}
 	if d := st.deadline.Load(); d != 0 && d <= e.now().UnixNano() {
-		e.forceAbort(cur, ErrLeaseExpired, fmt.Errorf("lease of %v expired", e.lease), true)
+		cur.forceAbort(ErrLeaseExpired, fmt.Errorf("lease of %v expired", e.lease), true)
 		if p := st.term.Load(); p != nil {
 			return nil, *p
 		}
@@ -670,10 +844,10 @@ func (e *Engine) resumeLocal(t int, token uint64) (*Session, error) {
 		return nil, ErrNotResumable
 	}
 	// The park gave the MPL slot back; the resumed incarnation competes
-	// for a fresh one like an Open would.
-	if e.r.sem != nil {
+	// for a fresh one like an open would.
+	if e.sem != nil {
 		select {
-		case e.r.sem <- struct{}{}:
+		case e.sem <- struct{}{}:
 		case <-e.closedCh:
 			st.parked.Store(true)
 			return nil, ErrClosed
@@ -682,10 +856,13 @@ func (e *Engine) resumeLocal(t int, token uint64) (*Session, error) {
 	}
 	// A reaper or shutdown may have killed the session between the CAS
 	// and the slot acquisition; re-check liveness.
-	gen, status, _, fatal := e.r.readTxnState(t)
-	if fatal != nil || status != txActive || st.finished.Load() {
-		if e.r.sem != nil && st.holdsSlot.Swap(false) {
-			<-e.r.sem
+	ns := &Session{e: e, g: cur.g, r: cur.r, t: cur.t, x: cur.x, tx: cur.tx, st: st, myParks: st.parks.Load()}
+	gen, status, _, fatal := ns.state()
+	ns.gen = gen
+	ns.touch()
+	if fatal != nil || status != txActive || !e.attach(ns) {
+		if e.sem != nil && st.holdsSlot.Swap(false) {
+			<-e.sem
 		}
 		if p := st.term.Load(); p != nil {
 			return nil, *p
@@ -695,11 +872,6 @@ func (e *Engine) resumeLocal(t int, token uint64) (*Session, error) {
 		}
 		return nil, ErrNotResumable
 	}
-	ns := &Session{e: e, t: t, sid: cur.sid, tx: cur.tx, st: st, gen: gen, myParks: st.parks.Load()}
-	ns.touch()
-	e.mu.Lock()
-	e.sessions[t] = ns
-	e.mu.Unlock()
 	return ns, nil
 }
 
@@ -723,7 +895,7 @@ func (e *Engine) Reap() int {
 	e.mu.Unlock()
 	n := 0
 	for _, s := range expired {
-		if e.forceAbort(s, ErrLeaseExpired, fmt.Errorf("lease of %v expired", e.lease), true) {
+		if s.forceAbort(ErrLeaseExpired, fmt.Errorf("lease of %v expired", e.lease), true) {
 			n++
 		}
 	}
@@ -748,46 +920,62 @@ func (e *Engine) reapLoop() {
 	}
 }
 
-// OpenSessions returns the number of currently open sessions.
+// OpenSessions returns the number of currently open sessions, parked
+// ones included.
 func (e *Engine) OpenSessions() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.sessions)
 }
 
-// AbortOpenSessions force-aborts every open session (shutdown drain):
-// each loses its in-flight attempt, is abandoned and — if parked inside
-// a lock acquisition — woken with a cancellation. Returns how many were
-// torn down.
-func (e *Engine) AbortOpenSessions() int {
+// WaitDetached blocks until no session is attached — every open
+// session has finished or is parked — or the timeout passes, and
+// reports whether it returned because none is attached. It wakes on the
+// release or park that detaches the last session, not by polling. A
+// drain uses it: a parked session has no client driving it, so waiting
+// for it could only run out the clock.
+func (e *Engine) WaitDetached(timeout time.Duration) bool {
+	e.mu.Lock()
+	if e.attached == 0 {
+		e.mu.Unlock()
+		return true
+	}
+	idle := e.idle
+	e.mu.Unlock()
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-idle:
+		return true
+	case <-t.C:
+		return false
+	}
+}
+
+// abortAllSessions force-aborts every open session, parked ones
+// included (Close's drain): each loses its in-flight attempt, is
+// abandoned and — if parked inside a lock acquisition — woken with a
+// cancellation.
+func (e *Engine) abortAllSessions() {
 	e.mu.Lock()
 	snap := make([]*Session, 0, len(e.sessions))
 	for _, s := range e.sessions {
 		snap = append(snap, s)
 	}
 	e.mu.Unlock()
-	n := 0
 	for _, s := range snap {
-		if e.forceAbort(s, ErrClosed, errors.New("engine shutting down"), false) {
-			n++
-		}
+		s.forceAbort(ErrClosed, errors.New("engine shutting down"), false)
 	}
-	return n
 }
 
-// Stats returns a consistent snapshot of the engine's metrics (cheap:
-// no serializability check). Elapsed is the wall-clock time since
-// NewEngine.
+// Stats returns a consistent engine-wide snapshot of the metrics. It
+// runs no serializability check, but counts events by walking the
+// retained logs' tags, so a replicated event counts once. Elapsed is
+// the wall-clock time since the engine was built.
 func (e *Engine) Stats() Metrics {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	m := r.met
-	m.Events = r.rec.Len() + r.rec.Stats().Truncated
-	m.Replayed = r.rec.Stats().Replayed
-	r.gate.undrain()
-	m.Wait = time.Duration(r.waitNs.Load())
-	m.Elapsed = time.Since(e.start)
+	e.drainAll()
+	m := e.statsDrained()
+	e.undrainAll()
 	return m
 }
 
@@ -804,39 +992,59 @@ type Inspection struct {
 	Metrics      Metrics
 }
 
-// Inspect returns a diagnostic snapshot. It drains the gate and builds
-// the serializability graph of the whole surviving log — O(log) work —
-// so it is a debugging and verification facility, not a metrics poll
-// (use Stats for that).
+// Inspect returns the diagnostic snapshot over the *merged* log: the
+// global execution order, the engine-wide structural state, the monitor
+// key of a full-system monitor replayed over the merged log (the live
+// monitors are per partition), and the merged log's serializability
+// verdict. It drains every partition and does O(log) work, so it is a
+// debugging and verification facility, not a metrics poll (use Stats
+// for that). With TruncateLog the merged log is a suffix and the
+// replayed monitor key is not meaningful; it is reported as
+// "(truncated)".
 func (e *Engine) Inspect() Inspection {
-	r := e.r
-	r.gate.drain()
-	r.flushPending()
-	ins := Inspection{
-		Log:          r.rec.Events().String(),
-		State:        fmt.Sprintf("%v", r.rec.State()),
-		MonitorKey:   r.rec.Monitor().Key(),
-		Serializable: r.rec.Events().Serializable(r.sys),
+	e.drainAll()
+	merged := e.mergedDrained()
+	sys := e.sysSnapshot()
+	truncated := false
+	for _, r := range e.parts {
+		if r.rec.Stats().Truncated > 0 {
+			truncated = true
+		}
 	}
-	m := r.met
-	m.Events = r.rec.Len() + r.rec.Stats().Truncated
-	m.Replayed = r.rec.Stats().Replayed
-	ins.Metrics = m
-	r.gate.undrain()
-	ins.Metrics.Wait = time.Duration(r.waitNs.Load())
-	ins.Metrics.Elapsed = time.Since(e.start)
-	e.mu.Lock()
-	ins.OpenSessions = len(e.sessions)
-	e.mu.Unlock()
+	key := "(truncated)"
+	if !truncated {
+		mon := e.cfg.Policy.NewMonitor(sys)
+		key = ""
+		for _, ev := range merged {
+			if err := mon.Step(ev); err != nil {
+				key = fmt.Sprintf("(merged log does not replay: %v)", err)
+				break
+			}
+		}
+		if key == "" {
+			key = mon.Key()
+		}
+	}
+	ins := Inspection{
+		Log:          merged.String(),
+		State:        fmt.Sprintf("%v", e.mergedStateDrained()),
+		MonitorKey:   key,
+		Serializable: merged.Serializable(sys),
+		Metrics:      e.statsDrained(),
+	}
+	e.undrainAll()
+	ins.OpenSessions = e.OpenSessions()
 	return ins
 }
 
 // Close shuts the engine down: new sessions and session operations are
-// refused, every still-open session is force-aborted (erasing its
-// events, so the final log is exactly the committed schedule, as in
-// batch Run), engine-driven re-runs are waited out, and the committed
-// schedule is verified serializable. Returns the final metrics and
-// schedule.
+// refused, every still-open session — parked ones included — is
+// force-aborted (erasing its events, so the final log is exactly the
+// committed schedule, as in batch Run), engine-driven re-runs are
+// waited out, each partition's log is verified serializable against
+// its own system and its durable store sealed, and the merged schedule
+// is verified serializable against the engine-wide system. Returns the
+// merged metrics and schedule.
 func (e *Engine) Close() (*Result, error) {
 	if e.closed.Swap(true) {
 		return nil, ErrClosed
@@ -849,39 +1057,50 @@ func (e *Engine) Close() (*Result, error) {
 	// First pass unwedges sessions parked inside lock acquisitions so
 	// in-flight operations can finish and the lifecycle write lock is
 	// reachable; the second pass (exclusive) closes the window where an
-	// Open raced the first.
-	e.AbortOpenSessions()
+	// open raced the first.
+	e.abortAllSessions()
 	e.lifecycle.Lock()
 	defer e.lifecycle.Unlock()
-	e.AbortOpenSessions()
-	r := e.r
-	r.wg.Wait()
-	// Session operations are excluded by the lifecycle write lock and
-	// the re-runs are done, but Stats/Inspect stay reachable (a draining
-	// server still answers polls), so the final metrics are written and
-	// snapshotted under the drain like every other r.met access.
-	r.gate.drain()
-	r.flushPending()
-	r.met.Elapsed = time.Since(e.start)
-	r.met.Wait = time.Duration(r.waitNs.Load())
-	r.met.Events = r.rec.Len() + r.rec.Stats().Truncated
-	r.met.Replayed = r.rec.Stats().Replayed
-	met := r.met
-	fatal := r.fatal
-	r.gate.undrain()
-	// Seal the durable store (if any): the clean-shutdown marker lets the
-	// next Open skip torn-tail scanning and attests nothing was lost.
-	if p := r.rec.Persister(); p != nil {
-		if cerr := p.Close(); cerr != nil && fatal == nil {
-			fatal = fmt.Errorf("runtime: sealing durable store: %w", cerr)
+	e.abortAllSessions()
+	// Cross-partition re-runs first: they can re-spawn local cascade
+	// victims, while local re-runs never reach another partition.
+	e.wg.Wait()
+	for p, r := range e.parts {
+		r.wg.Wait()
+		// Stats/Inspect stay reachable (a draining server still answers
+		// polls), so the fatal error is read under the drain like every
+		// other runner field.
+		r.gate.drain()
+		r.flushPending()
+		fatal := r.fatal
+		r.gate.undrain()
+		// Seal the durable store (if any): the clean-shutdown marker lets
+		// the next open skip torn-tail scanning and attests nothing was
+		// lost.
+		if ps := r.rec.Persister(); ps != nil {
+			if cerr := ps.Close(); cerr != nil && fatal == nil {
+				fatal = fmt.Errorf("runtime: sealing durable store of partition %d: %w", p, cerr)
+			}
+		}
+		if fatal != nil {
+			return nil, fatal
+		}
+		if !r.rec.Events().Serializable(r.sys) {
+			return nil, fmt.Errorf("runtime: committed schedule of partition %d is NOT serializable under policy %q", p, e.cfg.Policy.Name())
 		}
 	}
+	// Single-threaded from here: sessions are excluded, re-runs done.
+	e.drainAll()
+	merged := e.mergedDrained()
+	met := e.statsDrained()
+	fatal := e.anyFatalDrained()
+	e.undrainAll()
 	if fatal != nil {
 		return nil, fatal
 	}
-	sched := r.rec.Events()
-	if !sched.Serializable(r.sys) {
-		return nil, fmt.Errorf("runtime: committed schedule is NOT serializable under policy %q", r.cfg.Policy.Name())
+	sys := e.sysSnapshot()
+	if !merged.Serializable(sys) {
+		return nil, fmt.Errorf("runtime: merged committed schedule is NOT serializable under policy %q", e.cfg.Policy.Name())
 	}
-	return &Result{Metrics: met, Schedule: sched}, nil
+	return &Result{Metrics: met, Schedule: merged}, nil
 }

@@ -43,14 +43,14 @@ func (s *Session) stepAll() error {
 }
 
 func TestSessionBasicCommit(t *testing.T) {
-	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, GateStripes: 4})
+	e := NewSessionEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, GateStripes: 4})
 	txA := model.Txn{Name: "A", Steps: []model.Step{model.LX("a"), model.W("a"), model.LX("b"), model.W("b"), model.UX("a"), model.UX("b")}}
 	txB := model.Txn{Name: "B", Steps: []model.Step{model.LX("a"), model.R("a"), model.UX("a")}}
-	sa, err := e.Open(txA)
+	sa, err := e.OpenSession(txA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := e.Open(txB)
+	sb, err := e.OpenSession(txB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,27 +75,27 @@ func TestSessionBasicCommit(t *testing.T) {
 }
 
 func TestSessionOpenRejectsMalformed(t *testing.T) {
-	e := NewEngine(model.NewState("a"), Config{})
+	e := NewSessionEngine(model.NewState("a"), Config{})
 	// Unlock of a lock that is not held.
-	if _, err := e.Open(model.Txn{Steps: []model.Step{model.UX("a")}}); err == nil {
+	if _, err := e.OpenSession(model.Txn{Steps: []model.Step{model.UX("a")}}); err == nil {
 		t.Fatal("malformed body accepted")
 	}
 	// Entity locked twice.
 	twice := model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a"), model.LX("a"), model.UX("a")}}
-	if _, err := e.Open(twice); err == nil {
+	if _, err := e.OpenSession(twice); err == nil {
 		t.Fatal("lock-twice body accepted")
 	}
 	if _, err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Open(model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a")}}); !errors.Is(err, ErrClosed) {
+	if _, err := e.OpenSession(model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a")}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Open after Close = %v, want ErrClosed", err)
 	}
 }
 
 func TestSessionStepMismatch(t *testing.T) {
-	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}})
-	s, err := e.Open(model.Txn{Steps: []model.Step{model.LX("a"), model.W("a"), model.UX("a")}})
+	e := NewSessionEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}})
+	s, err := e.OpenSession(model.Txn{Steps: []model.Step{model.LX("a"), model.W("a"), model.UX("a")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +125,9 @@ func TestSessionStepMismatch(t *testing.T) {
 // whole attempt is erased, and the client's retry fails the same way
 // until the budget runs out.
 func TestSessionPolicyAbortAndRetry(t *testing.T) {
-	e := NewEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, MaxRetries: 2, Backoff: -1})
+	e := NewSessionEngine(model.NewState("a", "b"), Config{Policy: policy.TwoPhase{}, MaxRetries: 2, Backoff: -1})
 	bad := model.Txn{Steps: []model.Step{model.LX("a"), model.UX("a"), model.LX("b"), model.UX("b")}}
-	s, err := e.Open(bad)
+	s, err := e.OpenSession(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +168,13 @@ func (c *fakeClock) advance(d time.Duration) { c.ns.Add(int64(d)) }
 // Deterministic: the clock is injected and Reap is called explicitly.
 func TestSessionLeaseExpiry(t *testing.T) {
 	clock := &fakeClock{}
-	e := NewEngine(model.NewState("a"), Config{
+	e := NewSessionEngine(model.NewState("a"), Config{
 		Policy: policy.TwoPhase{},
 		Lease:  time.Second,
 		Clock:  clock.now,
 	})
 	body := model.Txn{Steps: []model.Step{model.LX("a"), model.W("a"), model.UX("a")}}
-	stalled, err := e.Open(body)
+	stalled, err := e.OpenSession(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestSessionLeaseExpiry(t *testing.T) {
 	if err := stalled.Step(model.W("a")); err != nil {
 		t.Fatal(err)
 	}
-	waiter, err := e.Open(body)
+	waiter, err := e.OpenSession(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,11 +374,11 @@ func randomLegalPrefix(rng *rand.Rand, sys *model.System) model.Schedule {
 // each just before its transaction's first event (and the rest at the
 // end).
 func driveSessions(sys *model.System, sched model.Schedule, cfg Config, commit, lazy bool) (string, error) {
-	e := NewEngine(sys.Init, cfg)
+	e := NewSessionEngine(sys.Init, cfg)
 	var sess []*Session
 	openTo := func(n int) error {
 		for len(sess) < n {
-			s, err := e.Open(sys.Txns[len(sess)])
+			s, err := e.OpenSession(sys.Txns[len(sess)])
 			if err != nil {
 				return err
 			}

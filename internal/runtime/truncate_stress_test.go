@@ -19,10 +19,10 @@ import (
 // the retained suffix.
 func TestEngineTruncationBoundsLog(t *testing.T) {
 	init := model.NewState("x")
-	e := NewEngine(init, Config{Policy: policy.TwoPhase{}, TruncateLog: true, CheckpointEvery: 2})
+	e := NewSessionEngine(init, Config{Policy: policy.TwoPhase{}, TruncateLog: true, CheckpointEvery: 2})
 	const rounds = 200
 	for i := 0; i < rounds; i++ {
-		s, err := e.Open(model.NewTxn("T", model.LX("x"), model.W("x"), model.UX("x")))
+		s, err := e.OpenSession(model.NewTxn("T", model.LX("x"), model.W("x"), model.UX("x")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,10 +34,10 @@ func TestEngineTruncationBoundsLog(t *testing.T) {
 	if m.Events != 3*rounds {
 		t.Fatalf("Events = %d, want %d (truncation must not lose the count)", m.Events, 3*rounds)
 	}
-	if retained := e.r.rec.Len(); retained >= 3*rounds/2 {
+	if retained := e.parts[0].rec.Len(); retained >= 3*rounds/2 {
 		t.Fatalf("retained log %d events of %d: truncation never fired", retained, 3*rounds)
 	}
-	if tr := e.r.rec.Stats().Truncated; tr == 0 {
+	if tr := e.parts[0].rec.Stats().Truncated; tr == 0 {
 		t.Fatal("Stats().Truncated = 0, want > 0")
 	}
 	res, err := e.Close()
@@ -54,7 +54,7 @@ func TestEngineTruncationBoundsLog(t *testing.T) {
 func TestPartitionedTruncation(t *testing.T) {
 	ents := spanningEntities(t, 2)
 	init := model.NewState(ents...)
-	pe := NewPartitionedEngine(init, Config{
+	pe := NewSessionEngine(init, Config{
 		Policy: policy.TwoPhase{}, Partitions: 2, TruncateLog: true, CheckpointEvery: 2,
 	})
 	const rounds = 120
@@ -76,8 +76,8 @@ func TestPartitionedTruncation(t *testing.T) {
 		}
 	}
 	truncated := 0
-	for _, part := range pe.parts {
-		truncated += part.r.rec.Stats().Truncated
+	for _, r := range pe.parts {
+		truncated += r.rec.Stats().Truncated
 	}
 	if truncated == 0 {
 		t.Fatal("no partition ever truncated its log")
@@ -120,7 +120,7 @@ func spanningEntities(t *testing.T, n int) []model.Entity {
 func TestPartitionCancelReapStress(t *testing.T) {
 	ents := spanningEntities(t, 2)
 	init := model.NewState(ents...)
-	pe := NewPartitionedEngine(init, Config{
+	pe := NewSessionEngine(init, Config{
 		Policy:     policy.TwoPhase{},
 		Partitions: 2,
 		Lease:      25 * time.Millisecond, // real clock: the reaper runs

@@ -319,6 +319,7 @@ func TestServerResumeDuplicateConcurrent(t *testing.T) {
 	waitParked(t, addr, s1.SID(), s1.Token())
 
 	type outcome struct {
+		c    *client.Client
 		sess *client.Session
 		err  error
 	}
@@ -327,25 +328,24 @@ func TestServerResumeDuplicateConcurrent(t *testing.T) {
 		go func() {
 			c, err := client.Dial(addr)
 			if err != nil {
-				results <- outcome{nil, err}
+				results <- outcome{nil, nil, err}
 				return
 			}
-			defer c.Close()
 			s, err := c.Resume(s1)
-			if err == nil {
-				// The winner drives the session to commit before its
-				// connection closes (a close would just re-park it).
-				err = s.Run(0)
-			}
-			results <- outcome{s, err}
+			results <- outcome{c, s, err}
 		}()
 	}
+	var winner *client.Session
 	var wins, badReq int
 	for i := 0; i < 2; i++ {
 		o := <-results
+		if o.c != nil {
+			defer o.c.Close()
+		}
 		switch {
 		case o.err == nil:
 			wins++
+			winner = o.sess
 		case errors.Is(o.err, client.ErrProtocol):
 			badReq++
 		default:
@@ -354,6 +354,13 @@ func TestServerResumeDuplicateConcurrent(t *testing.T) {
 	}
 	if wins != 1 || badReq != 1 {
 		t.Fatalf("wins=%d badreq=%d, want exactly one winner and one CodeBadReq refusal", wins, badReq)
+	}
+	// The winner drives the session to commit only once both resumes are
+	// answered: a commit before the loser's resume arrived would leave it
+	// a finished session to refuse, not a contested one. Its connection
+	// stays open until then (a close would just re-park the session).
+	if err := winner.Run(0); err != nil {
+		t.Fatal(err)
 	}
 	res, err := srv.Shutdown(time.Second)
 	if err != nil {
@@ -537,5 +544,56 @@ func TestServerPipelinedDisconnectResume(t *testing.T) {
 	}
 	if m.Events != 6 {
 		t.Fatalf("events=%d, want 6 (each declared step exactly once; the dead connection's in-flight steps must not execute)", m.Events)
+	}
+}
+
+// TestServerShutdownOnlyParked pins drain liveness: a server whose only
+// open sessions are parked — one partition-local, one spanning both
+// partitions — returns from Shutdown without waiting out its timeout
+// (an hour here), force-aborts both, and verifies the committed
+// schedule serializable.
+func TestServerShutdownOnlyParked(t *testing.T) {
+	var a, b model.Entity // one entity homed in each of two partitions
+	for i := 0; a == "" || b == ""; i++ {
+		e := model.Entity(string(rune('a' + i)))
+		if model.PartitionOf(e, 2) == 0 {
+			a = e
+		} else {
+			b = e
+		}
+	}
+	srv, addr := startServer(t, model.NewState(a, b), runtime.Config{Policy: policy.TwoPhase{}, Partitions: 2})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := c.Open(model.Txn{Steps: []model.Step{model.LX(b), model.W(b), model.UX(b)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := done.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	local, err := c.Open(model.Txn{Steps: []model.Step{model.LX(a), model.W(a), model.UX(a)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross, err := c.Open(model.Txn{Steps: []model.Step{model.LX(a), model.LX(b), model.W(a), model.W(b), model.UX(a), model.UX(b)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Step(model.LX(a)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close() // the server parks both open sessions
+	waitParked(t, addr, local.SID(), local.Token())
+	waitParked(t, addr, cross.SID(), cross.Token())
+
+	res, err := srv.Shutdown(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := res.Metrics; m.Commits != 1 || m.GaveUp != 2 || m.Events != 3 {
+		t.Fatalf("commits=%d gaveup=%d events=%d, want 1/2/3", m.Commits, m.GaveUp, m.Events)
 	}
 }

@@ -1,7 +1,7 @@
-// Package server exposes the session runtime (internal/runtime.Engine)
-// over the network as the lockd service: length-prefixed frames
-// (internal/wire; JSON or the negotiated version 3 binary codec) over
-// TCP, one reader goroutine per connection, one
+// Package server exposes the session runtime (internal/runtime.Engine,
+// at any partition count) over the network as the lockd service:
+// length-prefixed frames (internal/wire; JSON or the negotiated version
+// 3 binary codec) over TCP, one reader goroutine per connection, one
 // worker goroutine per open session so a session parked on a lock never
 // blocks the connection's other sessions, and pipelined requests with
 // out-of-order responses matched by request id. Frames may batch many
@@ -53,11 +53,11 @@ const sessionQueue = 128
 const teardownFlush = 2 * time.Second
 
 // Server is one lockd instance: an engine plus its listener plumbing.
-// The engine may be a single runtime.Engine or a partitioned group of
-// them (runtime.Config.Partitions > 1); the wire protocol is identical
-// either way — partitioning is invisible to clients.
+// The engine is partitioned by runtime.Config.Partitions; the wire
+// protocol is identical at every partition count — partitioning is
+// invisible to clients.
 type Server struct {
-	eng    runtime.SessionEngine
+	eng    *runtime.Engine
 	policy string
 
 	mu       sync.Mutex
@@ -104,7 +104,7 @@ func NewDurable(init model.State, cfg runtime.Config) (*Server, *runtime.Restore
 
 // Engine exposes the underlying engine (tests and embedders; the
 // lockbench in-process loopback uses it for final verification).
-func (s *Server) Engine() runtime.SessionEngine { return s.eng }
+func (s *Server) Engine() *runtime.Engine { return s.eng }
 
 // Serve accepts connections on ln until Shutdown closes it. It returns
 // nil after a Shutdown-initiated stop, or the accept error otherwise.
@@ -135,7 +135,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			wake:     make(chan struct{}, 1),
 			wdone:    make(chan struct{}),
 			sessions: make(map[uint64]*sessWorker),
-			runs:     make(map[runtime.Sess]struct{}),
+			runs:     make(map[*runtime.Session]struct{}),
 		}
 		s.mu.Lock()
 		if s.draining {
@@ -155,10 +155,11 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Shutdown drains the server: stop accepting, refuse new sessions, wait
-// up to timeout for open sessions to finish, force-abort the rest, then
-// close the engine (which verifies the committed schedule is
-// serializable) and disconnect everyone. It returns the engine's final
-// result.
+// up to timeout for the attached sessions to finish, force-abort the
+// rest — parked sessions included, which no client can resume once the
+// listener is closed, so the wait does not count them — then close the
+// engine (which verifies the committed schedule is serializable) and
+// disconnect everyone. It returns the engine's final result.
 func (s *Server) Shutdown(timeout time.Duration) (*runtime.Result, error) {
 	s.mu.Lock()
 	if s.draining {
@@ -171,10 +172,7 @@ func (s *Server) Shutdown(timeout time.Duration) (*runtime.Result, error) {
 	if ln != nil {
 		ln.Close()
 	}
-	deadline := time.Now().Add(timeout)
-	for s.eng.OpenSessions() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	s.eng.WaitDetached(timeout)
 	// Close force-aborts whatever is still open and waits out
 	// engine-driven re-runs before verifying the committed schedule.
 	res, err := s.eng.Close()
@@ -214,7 +212,7 @@ type conn struct {
 
 	smu      sync.Mutex
 	sessions map[uint64]*sessWorker
-	runs     map[runtime.Sess]struct{} // stored-procedure sessions in flight
+	runs     map[*runtime.Session]struct{} // stored-procedure sessions in flight
 	nextSID  uint64
 	closing  bool
 
@@ -228,7 +226,7 @@ type conn struct {
 // long-lived connection can open millions of sessions without
 // accumulating workers.
 type sessWorker struct {
-	sess runtime.Sess
+	sess *runtime.Session
 	// table is the session's declared entity table (binary codec);
 	// compact step requests resolve their entity index against it. Nil
 	// for JSON sessions, whose steps arrive as text. Written once at
@@ -789,7 +787,7 @@ func (c *conn) teardown() {
 		workers = append(workers, w)
 	}
 	c.sessions = make(map[uint64]*sessWorker)
-	runs := make([]runtime.Sess, 0, len(c.runs))
+	runs := make([]*runtime.Session, 0, len(c.runs))
 	for sess := range c.runs {
 		runs = append(runs, sess)
 	}
@@ -867,12 +865,12 @@ func statsOf(m runtime.Metrics, open int) wire.Stats {
 	}
 }
 
-func statsResponse(id uint64, eng runtime.SessionEngine) wire.Response {
+func statsResponse(id uint64, eng *runtime.Engine) wire.Response {
 	st := statsOf(eng.Stats(), eng.OpenSessions())
 	return wire.Response{ID: id, OK: true, Stats: &st}
 }
 
-func inspectResponse(id uint64, eng runtime.SessionEngine) wire.Response {
+func inspectResponse(id uint64, eng *runtime.Engine) wire.Response {
 	ins := eng.Inspect()
 	return wire.Response{ID: id, OK: true, Inspect: &wire.Inspect{
 		Log:          ins.Log,
