@@ -63,9 +63,9 @@
 //
 // Service — the runtime exposed as a long-lived network lock service:
 //
-//	internal/wire        — lockd protocol: length-prefixed JSON frames,
-//	                       versioned hello, session ops, diagnostics
-//	                       (spec: docs/PROTOCOL.md)
+//	internal/wire        — lockd protocol (version 4): length-prefixed
+//	                       binary frames, hello, session ops, resume,
+//	                       diagnostics (spec: docs/PROTOCOL.md)
 //	internal/server      — lockd server: one reader per connection, one
 //	                       on-demand worker per session, pipelined
 //	                       requests, lease reaping, graceful drain

@@ -1,6 +1,6 @@
 package server
 
-// Resumption contract tests (protocol version 4): a lost connection
+// Resumption contract tests: a lost connection
 // parks its sessions instead of aborting them, and a later connection
 // reattaches a parked session by presenting its sid, resume token and
 // declared body. The contract under test:
@@ -15,7 +15,6 @@ package server
 //     refused CodeBadReq (engine: ErrNotResumable);
 //   - a resume whose declared body differs from the declaration on
 //     record is refused and the session is parked again, resumable;
-//   - pre-v4 connections cannot resume;
 //   - in-flight pipelined steps of the dead connection drain without
 //     executing (the park erased the attempt), so the resumed session
 //     replays from the first declared step with no duplicated events.
@@ -35,7 +34,7 @@ import (
 	"locksafe/pkg/client"
 )
 
-// rawV4 is a raw binary-codec protocol-4 connection: full control over
+// rawV4 is a raw protocol-4 connection: full control over
 // sids, tokens and declared bodies, which the client API deliberately
 // hides (Session.token is not settable, so a wrong-token resume can
 // only be expressed on the wire).
@@ -57,8 +56,6 @@ func dialV4(t *testing.T, addr string) *rawV4 {
 	if resp := c.roundTrip(wire.Request{Op: wire.OpHello, Version: wire.Version}); !resp.OK {
 		t.Fatalf("hello refused: %+v", resp)
 	}
-	c.rd.SetCodec(wire.CodecBinary)
-	c.wr.SetCodec(wire.CodecBinary)
 	return c
 }
 
@@ -219,7 +216,7 @@ func TestServerResumeWrongToken(t *testing.T) {
 		t.Fatalf("open = %+v, want OK with a resume token", open)
 	}
 	if resp := c1.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID,
-		CStep: csteps[0], HasCompact: true}); !resp.OK {
+		CStep: csteps[0]}); !resp.OK {
 		t.Fatalf("step refused: %+v", resp)
 	}
 	c1.close()
@@ -242,7 +239,7 @@ func TestServerResumeWrongToken(t *testing.T) {
 	}
 	for i, cs := range csteps {
 		if resp := c2.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID,
-			CStep: cs, HasCompact: true}); !resp.OK {
+			CStep: cs}); !resp.OK {
 			t.Fatalf("resumed step %d refused: %+v", i, resp)
 		}
 	}
@@ -276,7 +273,7 @@ func TestServerResumeLeaseExpired(t *testing.T) {
 		t.Fatalf("open refused: %+v", open)
 	}
 	if resp := c1.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID,
-		CStep: csteps[0], HasCompact: true}); !resp.OK {
+		CStep: csteps[0]}); !resp.OK {
 		t.Fatalf("step refused: %+v", resp)
 	}
 	c1.close()
@@ -387,7 +384,7 @@ func TestServerResumeBodyMismatch(t *testing.T) {
 		t.Fatalf("open refused: %+v", open)
 	}
 	if resp := c1.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID,
-		CStep: csteps[0], HasCompact: true}); !resp.OK {
+		CStep: csteps[0]}); !resp.OK {
 		t.Fatalf("step refused: %+v", resp)
 	}
 	c1.close()
@@ -409,7 +406,7 @@ func TestServerResumeBodyMismatch(t *testing.T) {
 	}
 	for i, cs := range csteps {
 		if resp := c2.roundTrip(wire.Request{Op: wire.OpStep, SID: open.SID,
-			CStep: cs, HasCompact: true}); !resp.OK {
+			CStep: cs}); !resp.OK {
 			t.Fatalf("resumed step %d refused: %+v", i, resp)
 		}
 	}
@@ -419,45 +416,6 @@ func TestServerResumeBodyMismatch(t *testing.T) {
 	stats := c2.roundTrip(wire.Request{Op: wire.OpStats})
 	if stats.Stats == nil || stats.Stats.Commits != 1 || stats.Stats.Events != 3 {
 		t.Fatalf("stats = %+v, want commits=1 events=3", stats.Stats)
-	}
-}
-
-// TestServerResumeRequiresV4 pins that pre-v4 connections cannot
-// resume: their disconnects abort rather than park, so granting a
-// resume would promise a semantics the connection does not have.
-func TestServerResumeRequiresV4(t *testing.T) {
-	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
-	defer srv.Shutdown(time.Second)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	rd, wr := wire.NewReader(nc), wire.NewWriter(nc)
-	defer rd.Release()
-	defer wr.Release()
-	roundTrip := func(req wire.Request) wire.Response {
-		t.Helper()
-		if err := wr.WriteRequests([]wire.Request{req}); err != nil {
-			t.Fatal(err)
-		}
-		if err := wr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		resps, err := rd.ReadResponses()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resps[0]
-	}
-	if resp := roundTrip(wire.Request{ID: 1, Op: wire.OpHello, Version: wire.VersionBinary}); !resp.OK {
-		t.Fatalf("hello v3 refused: %+v", resp)
-	}
-	rd.SetCodec(wire.CodecBinary)
-	wr.SetCodec(wire.CodecBinary)
-	resp := roundTrip(wire.Request{ID: 2, Op: wire.OpResume, SID: 1, Token: 1})
-	if resp.OK || resp.Code != wire.CodeBadReq || !strings.Contains(resp.Err, "version") {
-		t.Fatalf("v3 resume = %+v, want CodeBadReq naming the version", resp)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -103,80 +104,6 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// TestServerGarbageStepKeepsSession pins that an unparsable step string
-// is refused as a bad request while the session — cursor, locks, lease
-// — stays untouched (regression: it used to orphan the engine session
-// with its locks held).
-func TestServerGarbageStepKeepsSession(t *testing.T) {
-	srv, addr := startServer(t, model.NewState("a"), runtime.Config{Policy: policy.TwoPhase{}})
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	roundTrip := func(req wire.Request) wire.Response {
-		t.Helper()
-		if err := wire.WriteFrame(nc, req); err != nil {
-			t.Fatal(err)
-		}
-		var resp wire.Response
-		if err := wire.ReadFrame(nc, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	// Raw JSON frames throughout: negotiate the JSON protocol version.
-	roundTrip(wire.Request{ID: 1, Op: wire.OpHello, Version: wire.VersionJSON})
-	open := roundTrip(wire.Request{ID: 2, Op: wire.OpOpen, Txn: []string{"(LX a)", "(W a)", "(UX a)"}})
-	if !open.OK {
-		t.Fatalf("open refused: %+v", open)
-	}
-	if resp := roundTrip(wire.Request{ID: 3, Op: wire.OpStep, SID: open.SID, Step: "(LX a)"}); !resp.OK {
-		t.Fatalf("step refused: %+v", resp)
-	}
-	if resp := roundTrip(wire.Request{ID: 4, Op: wire.OpStep, SID: open.SID, Step: "garbage"}); resp.OK || resp.Code != wire.CodeBadReq {
-		t.Fatalf("garbage step = %+v, want CodeBadReq refusal", resp)
-	}
-	// The session must still be live and at the same cursor.
-	for i, st := range []string{"(W a)", "(UX a)"} {
-		if resp := roundTrip(wire.Request{ID: uint64(5 + i), Op: wire.OpStep, SID: open.SID, Step: st}); !resp.OK {
-			t.Fatalf("step %s after garbage refused: %+v", st, resp)
-		}
-	}
-	if resp := roundTrip(wire.Request{ID: 7, Op: wire.OpCommit, SID: open.SID}); !resp.OK {
-		t.Fatalf("commit after garbage refused: %+v", resp)
-	}
-	res, err := srv.Shutdown(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.Commits != 1 || res.Metrics.GaveUp != 0 {
-		t.Fatalf("commits=%d gaveup=%d, want 1/0", res.Metrics.Commits, res.Metrics.GaveUp)
-	}
-}
-
-// TestServerVersionHandshake pins that a version-mismatched hello is
-// refused with CodeVersion.
-func TestServerVersionHandshake(t *testing.T) {
-	srv, addr := startServer(t, nil, runtime.Config{})
-	defer srv.Shutdown(time.Second)
-	nc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if err := wire.WriteFrame(nc, wire.Request{ID: 1, Op: wire.OpHello, Version: 99}); err != nil {
-		t.Fatal(err)
-	}
-	var resp wire.Response
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != wire.CodeVersion {
-		t.Fatalf("hello v99 = %+v, want CodeVersion refusal", resp)
-	}
-}
-
 // digest is the cross-substrate comparison string of the equivalence
 // test: log, structural state, monitor key, serializability verdict and
 // the abort accounting.
@@ -236,20 +163,15 @@ func TestSessionGateEquivalence(t *testing.T) {
 			} else if got != want {
 				t.Fatalf("%s seed %d: in-process sessions diverge:\n--- sessions ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
 			}
-			// Codec dimension: the v2-JSON and v3-binary transports must
-			// both land on the batch replay's digest — same engine calls,
-			// different wire representation.
-			for _, ver := range []int{wire.VersionJSON, wire.Version} {
-				if got, err := driveNetwork(t, sys, sched, cfg, arm.commit, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: network: %v", arm.name, seed, ver, err)
-				} else if got != want {
-					t.Fatalf("%s seed %d v%d: network sessions diverge:\n--- network ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, want)
-				}
-				if got, err := driveNetworkPipelined(t, sys, sched, cfg, arm.commit, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: pipelined: %v", arm.name, seed, ver, err)
-				} else if got != want {
-					t.Fatalf("%s seed %d v%d: pipelined sessions diverge:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, want)
-				}
+			if got, err := driveNetwork(t, sys, sched, cfg, arm.commit); err != nil {
+				t.Fatalf("%s seed %d: network: %v", arm.name, seed, err)
+			} else if got != want {
+				t.Fatalf("%s seed %d: network sessions diverge:\n--- network ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
+			}
+			if got, err := driveNetworkPipelined(t, sys, sched, cfg, arm.commit); err != nil {
+				t.Fatalf("%s seed %d: pipelined: %v", arm.name, seed, err)
+			} else if got != want {
+				t.Fatalf("%s seed %d: pipelined sessions diverge:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got, want)
 			}
 
 			if !arm.commit {
@@ -274,22 +196,20 @@ func TestSessionGateEquivalence(t *testing.T) {
 			sm := sref.Metrics
 			swant := digest(sref.Log, sref.State, sref.MonitorKey, sref.Serializable,
 				sm.Commits, sm.GaveUp, sm.DeadlockAborts, sm.PolicyAborts, sm.ImproperAborts, sm.CascadeAborts, sm.Events)
-			for _, ver := range []int{wire.VersionJSON, wire.Version} {
-				if got, err := driveNetwork(t, sys, serial, scfg, true, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: serial network: %v", arm.name, seed, ver, err)
-				} else if got != swant {
-					t.Fatalf("%s seed %d v%d: serial per-step diverges:\n--- per-step ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, swant)
-				}
-				if got, err := driveNetworkPipelined(t, sys, serial, scfg, true, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: serial pipelined: %v", arm.name, seed, ver, err)
-				} else if got != swant {
-					t.Fatalf("%s seed %d v%d: serial pipelined diverges:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, swant)
-				}
-				if got, err := driveNetworkRun(t, sys, scfg, ver); err != nil {
-					t.Fatalf("%s seed %d v%d: run mode: %v", arm.name, seed, ver, err)
-				} else if got != swant {
-					t.Fatalf("%s seed %d v%d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, ver, got, swant)
-				}
+			if got, err := driveNetwork(t, sys, serial, scfg, true); err != nil {
+				t.Fatalf("%s seed %d: serial network: %v", arm.name, seed, err)
+			} else if got != swant {
+				t.Fatalf("%s seed %d: serial per-step diverges:\n--- per-step ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			}
+			if got, err := driveNetworkPipelined(t, sys, serial, scfg, true); err != nil {
+				t.Fatalf("%s seed %d: serial pipelined: %v", arm.name, seed, err)
+			} else if got != swant {
+				t.Fatalf("%s seed %d: serial pipelined diverges:\n--- pipelined ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
+			}
+			if got, err := driveNetworkRun(t, sys, scfg); err != nil {
+				t.Fatalf("%s seed %d: run mode: %v", arm.name, seed, err)
+			} else if got != swant {
+				t.Fatalf("%s seed %d: run mode diverges:\n--- run ---\n%s\n--- batch ---\n%s", arm.name, seed, got, swant)
 			}
 		}
 	}
@@ -337,9 +257,9 @@ func driveInProcess(sys *model.System, sched model.Schedule, cfg runtime.Config,
 
 // driveNetwork replays the trace through pkg/client sessions against an
 // in-memory lockd on loopback, single-threaded.
-func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool, version int) (string, error) {
+func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
-	c, err := client.DialVersion(addr, version)
+	c, err := client.Dial(addr)
 	if err != nil {
 		return "", err
 	}
@@ -395,9 +315,9 @@ func driveNetwork(t *testing.T, sys *model.System, sched model.Schedule, cfg run
 // still executes in trace order (at most one session has requests in
 // flight) while the transport carries whole segments per round trip. A
 // commit rides the same burst as its transaction's last steps.
-func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool, version int) (string, error) {
+func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule, cfg runtime.Config, commit bool) (string, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
-	c, err := client.DialVersion(addr, version)
+	c, err := client.Dial(addr)
 	if err != nil {
 		return "", err
 	}
@@ -479,9 +399,9 @@ func driveNetworkPipelined(t *testing.T, sys *model.System, sched model.Schedule
 // mode, in order: the body ships once per transaction and the engine
 // drives it server-side. With a zero retry budget an aborted
 // transaction answers ErrAbandoned, mirroring the replay's drop.
-func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config, version int) (string, error) {
+func driveNetworkRun(t *testing.T, sys *model.System, cfg runtime.Config) (string, error) {
 	srv, addr := startServer(t, sys.Init, cfg)
-	c, err := client.DialVersion(addr, version)
+	c, err := client.Dial(addr)
 	if err != nil {
 		return "", err
 	}
@@ -591,41 +511,36 @@ func TestClientPipelinedAbortRetry(t *testing.T) {
 	}
 }
 
-// TestServerUnknownOp pins the server-side unknown-op refusal over a raw
-// connection (the client never emits one).
+// TestServerUnknownOp pins the server-side refusal of an unknown op
+// byte over a raw connection (the client never emits one). The decoder
+// cannot skip a message it cannot parse, so the whole frame is refused
+// bad-request and that connection closes; other connections are
+// unaffected.
 func TestServerUnknownOp(t *testing.T) {
 	srv, addr := startServer(t, nil, runtime.Config{})
 	defer srv.Shutdown(time.Second)
-	nc, err := net.Dial("tcp", addr)
+	c := dialV4(t, addr)
+	defer c.close()
+	// magic, 1 message, op byte 0xEE, id 2
+	if _, err := c.nc.Write(frame([]byte{0xB3, 1, 0xEE, 2})); err != nil {
+		t.Fatal(err)
+	}
+	resps, err := c.rd.ReadResponses()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	if err := wire.WriteFrame(nc, wire.Request{ID: 1, Op: wire.OpHello, Version: wire.VersionJSON}); err != nil {
-		t.Fatal(err)
+	if resp := resps[0]; resp.OK || resp.Code != wire.CodeBadReq {
+		t.Fatalf("unknown op = %+v, want CodeBadReq refusal", resp)
 	}
-	var resp wire.Response
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
+	c.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := c.rd.ReadResponses(); !errors.Is(err, io.EOF) {
+		t.Fatalf("read after unknown op = %v, want io.EOF (connection closed)", err)
 	}
-	if err := wire.WriteFrame(nc, wire.Request{ID: 2, Op: "gibberish"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != wire.CodeBadReq || resp.ID != 2 {
-		t.Fatalf("unknown op = %+v, want CodeBadReq refusal for id 2", resp)
-	}
-	// The connection survives an unknown op: a valid request still works.
-	if err := wire.WriteFrame(nc, wire.Request{ID: 3, Op: wire.OpStats}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadFrame(nc, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.ID != 3 {
-		t.Fatalf("stats after unknown op = %+v, want OK", resp)
+	// A fresh connection still works.
+	c2 := dialV4(t, addr)
+	defer c2.close()
+	if resp := c2.roundTrip(wire.Request{Op: wire.OpStats}); !resp.OK || resp.Stats == nil {
+		t.Fatalf("stats on a fresh connection = %+v, want OK", resp)
 	}
 }
 

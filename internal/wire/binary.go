@@ -1,10 +1,7 @@
 package wire
 
-// binary.go is the protocol version 3 codec (version 4 speaks the same
-// codec, adding the resume op and the token/attempt response block):
-// the same framing (4-byte big-endian payload length, MaxFrame bound)
-// and the same message vocabulary as version 2, but payloads are a
-// compact binary form instead of JSON. A binary payload is
+// binary.go is the protocol's codec. Every payload, in both directions
+// and from the first frame on, is
 //
 //	0xB3  uvarint(count)  count × message
 //
@@ -17,47 +14,26 @@ package wire
 // request shipped, so the per-step path never carries or parses an
 // entity name.
 //
-// The codec is negotiated at hello: the hello exchange itself is always
-// JSON, and when the client asked for Version (3) both endpoints switch
-// to binary for every following frame. Reader and Writer carry the
-// per-connection codec state plus reusable scratch (payload buffer,
-// decoded message slice, encode buffer), recycled through sync.Pools
-// across connections, so a steady-state step request is decoded and its
+// Reader and Writer carry reusable scratch (payload buffer, decoded
+// message slice, encode buffer), recycled through sync.Pools across
+// connections, so a steady-state step request is decoded and its
 // response encoded without allocating.
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"locksafe/internal/model"
 )
 
-// Codec selects a frame payload encoding.
-type Codec uint8
-
-const (
-	// CodecJSON is the version 2 payload encoding (and the encoding of
-	// every hello exchange).
-	CodecJSON Codec = iota
-	// CodecBinary is the version 3 payload encoding.
-	CodecBinary
-)
-
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return "binary"
-	}
-	return "json"
-}
-
-// binMagic is the first byte of every binary payload; it can never open
-// a JSON payload, so a codec mismatch fails immediately and loudly.
+// binMagic is the first byte of every payload. It can never open a
+// JSON payload ('{', '[' or whitespace), so a peer speaking the retired
+// JSON protocol versions fails the first frame loudly instead of being
+// misparsed.
 const binMagic = 0xB3
 
 // Request op bytes (0 is invalid).
@@ -131,9 +107,7 @@ func appendStats(b []byte, s *Stats) []byte {
 	return b
 }
 
-// appendRequest encodes one request in binary form. Open/run/step
-// requests must carry the compact body/step — the binary codec never
-// ships step text.
+// appendRequest encodes one request.
 func appendRequest(b []byte, r *Request) ([]byte, error) {
 	op, ok := binOps[r.Op]
 	if !ok {
@@ -145,9 +119,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	case OpHello:
 		b = binary.AppendVarint(b, int64(r.Version))
 	case OpOpen, OpRun, OpResume:
-		if len(r.Txn) > 0 && r.CSteps == nil {
-			return nil, fmt.Errorf("wire: binary %s requires the compact body (Table/CSteps), got step texts", r.Op)
-		}
 		b = appendString(b, r.Name)
 		b = binary.AppendUvarint(b, uint64(len(r.Table)))
 		for _, e := range r.Table {
@@ -163,9 +134,6 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 			b = binary.AppendUvarint(b, r.Token)
 		}
 	case OpStep:
-		if !r.HasCompact {
-			return nil, fmt.Errorf("wire: binary step requires the compact step (CStep), got step text")
-		}
 		b = binary.AppendUvarint(b, r.SID)
 		b = binary.AppendVarint(b, int64(r.Attempt))
 		b = append(b, byte(r.CStep.Op))
@@ -181,10 +149,9 @@ func appendRequest(b []byte, r *Request) ([]byte, error) {
 	return b, nil
 }
 
-// appendResponse encodes one response in binary form. OK is implied by
-// code byte 0, so a response that is OK yet carries refusal fields (or
-// refused without a code) has no binary encoding — the server never
-// builds one.
+// appendResponse encodes one response. OK is implied by code byte 0,
+// so a response that is OK yet carries refusal fields (or refused
+// without a code) has no encoding — the server never builds one.
 func appendResponse(b []byte, r *Response) ([]byte, error) {
 	code := byte(0)
 	if r.OK {
@@ -406,7 +373,6 @@ func (d *cursor) request() (Request, error) {
 		if r.CStep, err = d.compactStep(); err != nil {
 			return r, err
 		}
-		r.HasCompact = true
 	case OpCommit:
 		if r.SID, err = d.uvarint(); err != nil {
 			return r, err
@@ -517,7 +483,7 @@ func (d *cursor) batchHeader() (int, error) {
 		return 0, err
 	}
 	if m != binMagic {
-		return 0, fmt.Errorf("wire: binary frame lacks magic byte (got %#x) — codec mismatch?", m)
+		return 0, fmt.Errorf("wire: frame lacks magic byte (got %#x) — not a protocol %d peer?", m, Version)
 	}
 	count, err := d.uvarint()
 	if err != nil {
@@ -554,34 +520,21 @@ func putBuf(b []byte) {
 // Reader
 
 // Reader decodes frames from one connection. It owns the buffered
-// stream, the per-connection codec state, and reusable decode scratch:
-// the slice returned by ReadRequests/ReadResponses (and its elements)
-// is valid only until the next call — callers copy the values they
-// keep, which Go's value semantics make the default. A Reader is driven
-// by one goroutine; SetCodec may be called from another (it is atomic),
-// provided the peer cannot have emitted a frame in the new codec before
-// the call — the hello exchange's request/response ordering guarantees
-// exactly that.
+// stream and reusable decode scratch: the slice returned by
+// ReadRequests/ReadResponses (and its elements) is valid only until the
+// next call — callers copy the values they keep, which Go's value
+// semantics make the default. A Reader is driven by one goroutine.
 type Reader struct {
-	br     *bufio.Reader
-	codec  atomic.Uint32
-	buf    []byte // payload scratch
-	reqs   []Request
-	resps  []Response
-	reqHi  int // high-water of populated scratch elements (JSON decode
-	respHi int // reuses backing arrays without zeroing absent fields)
+	br    *bufio.Reader
+	buf   []byte // payload scratch
+	reqs  []Request
+	resps []Response
 }
 
-// NewReader wraps a connection's read side, starting in CodecJSON.
+// NewReader wraps a connection's read side.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReader(r), buf: getBuf()}
 }
-
-// Codec reports the current payload codec.
-func (r *Reader) Codec() Codec { return Codec(r.codec.Load()) }
-
-// SetCodec switches the payload codec for subsequent frames.
-func (r *Reader) SetCodec(c Codec) { r.codec.Store(uint32(c)) }
 
 // Release returns the Reader's scratch to the shared pools. Call it
 // when the connection is done; the Reader must not be used afterwards.
@@ -604,7 +557,9 @@ func (r *Reader) Release() {
 	}
 }
 
-// readPayload reads one frame's payload into the reusable buffer.
+// readPayload reads one frame's payload into the reusable buffer. A
+// stream that ends between frames is io.EOF; one that ends anywhere
+// inside a frame — header or payload — is io.ErrUnexpectedEOF.
 func (r *Reader) readPayload() ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
@@ -620,8 +575,11 @@ func (r *Reader) readPayload() ([]byte, error) {
 	body := r.buf[:n]
 	if _, err := io.ReadFull(r.br, body); err != nil {
 		if err == io.EOF {
-			// Same normalization as readPayload above: a death exactly on
-			// the header/payload boundary is still a mid-frame death.
+			// The header promised n payload bytes and the stream ended
+			// before the first arrived (a death exactly on the
+			// header/payload boundary). ReadFull only says ErrUnexpectedEOF
+			// when at least one byte was read; normalize so callers can
+			// tell every mid-frame death from a clean between-frames close.
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
@@ -629,9 +587,8 @@ func (r *Reader) readPayload() ([]byte, error) {
 	return body, nil
 }
 
-// ReadRequests reads one frame and decodes the requests it carries
-// under the current codec. The returned slice is scratch: valid until
-// the next call.
+// ReadRequests reads one frame and decodes the requests it carries.
+// The returned slice is scratch: valid until the next call.
 func (r *Reader) ReadRequests() ([]Request, error) {
 	body, err := r.readPayload()
 	if err != nil {
@@ -640,50 +597,24 @@ func (r *Reader) ReadRequests() ([]Request, error) {
 	if r.reqs == nil {
 		r.reqs = *reqSlcPool.Get().(*[]Request)
 	}
-	if r.Codec() == CodecBinary {
-		d := cursor{b: body}
-		count, err := d.batchHeader()
+	d := cursor{b: body}
+	count, err := d.batchHeader()
+	if err != nil {
+		return nil, err
+	}
+	out := r.reqs[:0]
+	for i := 0; i < count; i++ {
+		req, err := d.request()
 		if err != nil {
 			return nil, err
 		}
-		out := r.reqs[:0]
-		for i := 0; i < count; i++ {
-			req, err := d.request()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, req)
-		}
-		if d.rem() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes after binary batch", d.rem())
-		}
-		r.reqs = out
-		if len(out) > r.reqHi {
-			r.reqHi = len(out)
-		}
-		return out, nil
+		out = append(out, req)
 	}
-	// JSON reuses the backing array without zeroing fields absent from
-	// the payload; clear every element populated by an earlier frame.
-	clear(r.reqs[:r.reqHi])
-	r.reqs = r.reqs[:0]
-	if isBatch(body) {
-		if err := json.Unmarshal(body, &r.reqs); err != nil {
-			return nil, err
-		}
-		if len(r.reqs) == 0 {
-			return nil, fmt.Errorf("wire: empty batch frame")
-		}
-	} else {
-		r.reqs = append(r.reqs, Request{})
-		if err := json.Unmarshal(body, &r.reqs[0]); err != nil {
-			return nil, err
-		}
+	if d.rem() != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after batch", d.rem())
 	}
-	if len(r.reqs) > r.reqHi {
-		r.reqHi = len(r.reqs)
-	}
-	return r.reqs, nil
+	r.reqs = out
+	return out, nil
 }
 
 // ReadResponses is ReadRequests for the server→client direction.
@@ -695,48 +626,24 @@ func (r *Reader) ReadResponses() ([]Response, error) {
 	if r.resps == nil {
 		r.resps = *respSlcPool.Get().(*[]Response)
 	}
-	if r.Codec() == CodecBinary {
-		d := cursor{b: body}
-		count, err := d.batchHeader()
+	d := cursor{b: body}
+	count, err := d.batchHeader()
+	if err != nil {
+		return nil, err
+	}
+	out := r.resps[:0]
+	for i := 0; i < count; i++ {
+		resp, err := d.response()
 		if err != nil {
 			return nil, err
 		}
-		out := r.resps[:0]
-		for i := 0; i < count; i++ {
-			resp, err := d.response()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, resp)
-		}
-		if d.rem() != 0 {
-			return nil, fmt.Errorf("wire: %d trailing bytes after binary batch", d.rem())
-		}
-		r.resps = out
-		if len(out) > r.respHi {
-			r.respHi = len(out)
-		}
-		return out, nil
+		out = append(out, resp)
 	}
-	clear(r.resps[:r.respHi])
-	r.resps = r.resps[:0]
-	if isBatch(body) {
-		if err := json.Unmarshal(body, &r.resps); err != nil {
-			return nil, err
-		}
-		if len(r.resps) == 0 {
-			return nil, fmt.Errorf("wire: empty batch frame")
-		}
-	} else {
-		r.resps = append(r.resps, Response{})
-		if err := json.Unmarshal(body, &r.resps[0]); err != nil {
-			return nil, err
-		}
+	if d.rem() != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after batch", d.rem())
 	}
-	if len(r.resps) > r.respHi {
-		r.respHi = len(r.resps)
-	}
-	return r.resps, nil
+	r.resps = out
+	return out, nil
 }
 
 // ---------------------------------------------------------------------
@@ -744,26 +651,17 @@ func (r *Reader) ReadResponses() ([]Response, error) {
 
 // Writer encodes frames onto one connection with a coalescing buffered
 // stream and reusable encode scratch. Like Reader, it is driven by one
-// goroutine, with SetCodec callable from another under the hello
-// ordering guarantee. Nothing reaches the connection until Flush.
+// goroutine. Nothing reaches the connection until Flush.
 type Writer struct {
-	bw    *bufio.Writer
-	codec atomic.Uint32
-	buf   []byte // binary encode scratch
-	ends  []int  // message boundaries within buf
-	raws  [][]byte
+	bw   *bufio.Writer
+	buf  []byte // encode scratch
+	ends []int  // message boundaries within buf
 }
 
-// NewWriter wraps a connection's write side, starting in CodecJSON.
+// NewWriter wraps a connection's write side.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w), buf: getBuf()}
 }
-
-// Codec reports the current payload codec.
-func (w *Writer) Codec() Codec { return Codec(w.codec.Load()) }
-
-// SetCodec switches the payload codec for subsequent writes.
-func (w *Writer) SetCodec(c Codec) { w.codec.Store(uint32(c)) }
 
 // Flush pushes buffered frames to the connection.
 func (w *Writer) Flush() error { return w.bw.Flush() }
@@ -778,54 +676,32 @@ func (w *Writer) Release() {
 }
 
 // WriteRequests buffers the requests as the fewest frames respecting
-// MaxFrame, under the current codec.
+// MaxFrame.
 func (w *Writer) WriteRequests(reqs []Request) error {
-	if w.Codec() == CodecBinary {
-		w.buf = w.buf[:0]
-		w.ends = w.ends[:0]
-		for i := range reqs {
-			var err error
-			if w.buf, err = appendRequest(w.buf, &reqs[i]); err != nil {
-				return err
-			}
-			w.ends = append(w.ends, len(w.buf))
-		}
-		return w.writeBinaryFrames()
-	}
-	w.raws = w.raws[:0]
+	w.buf = w.buf[:0]
+	w.ends = w.ends[:0]
 	for i := range reqs {
-		body, err := json.Marshal(&reqs[i])
-		if err != nil {
+		var err error
+		if w.buf, err = appendRequest(w.buf, &reqs[i]); err != nil {
 			return err
 		}
-		w.raws = append(w.raws, body)
+		w.ends = append(w.ends, len(w.buf))
 	}
-	return writeBatch(w.bw, w.raws)
+	return w.writeFrames()
 }
 
 // WriteResponses is WriteRequests for the server→client direction.
 func (w *Writer) WriteResponses(resps []Response) error {
-	if w.Codec() == CodecBinary {
-		w.buf = w.buf[:0]
-		w.ends = w.ends[:0]
-		for i := range resps {
-			var err error
-			if w.buf, err = appendResponse(w.buf, &resps[i]); err != nil {
-				return err
-			}
-			w.ends = append(w.ends, len(w.buf))
-		}
-		return w.writeBinaryFrames()
-	}
-	w.raws = w.raws[:0]
+	w.buf = w.buf[:0]
+	w.ends = w.ends[:0]
 	for i := range resps {
-		body, err := json.Marshal(&resps[i])
-		if err != nil {
+		var err error
+		if w.buf, err = appendResponse(w.buf, &resps[i]); err != nil {
 			return err
 		}
-		w.raws = append(w.raws, body)
+		w.ends = append(w.ends, len(w.buf))
 	}
-	return writeBatch(w.bw, w.raws)
+	return w.writeFrames()
 }
 
 func uvarintLen(v uint64) int {
@@ -837,9 +713,9 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// writeBinaryFrames packs the encoded messages in w.buf (boundaries in
+// writeFrames packs the encoded messages in w.buf (boundaries in
 // w.ends) greedily into frames of at most MaxFrame payload bytes.
-func (w *Writer) writeBinaryFrames() error {
+func (w *Writer) writeFrames() error {
 	start, off := 0, 0
 	for start < len(w.ends) {
 		end, last := start, off
@@ -853,7 +729,7 @@ func (w *Writer) writeBinaryFrames() error {
 			end++
 		}
 		if end == start {
-			return fmt.Errorf("wire: binary message of %d bytes exceeds MaxFrame", w.ends[start]-off)
+			return fmt.Errorf("wire: message of %d bytes exceeds MaxFrame", w.ends[start]-off)
 		}
 		var hdr [4 + 1 + binary.MaxVarintLen64]byte
 		n := 5 + binary.PutUvarint(hdr[5:], uint64(end-start))

@@ -12,8 +12,7 @@ import (
 	"locksafe/internal/model"
 )
 
-// sampleRequests covers every op the binary codec encodes, with the
-// compact body/step forms the v3 wire requires.
+// sampleRequests covers every op the codec encodes.
 func sampleRequests() []Request {
 	table, csteps := model.CompactTxn([]model.Step{
 		model.LX("accounts/7"), model.W("accounts/7"), model.LS("rates"),
@@ -24,7 +23,7 @@ func sampleRequests() []Request {
 		{ID: 2, Op: OpOpen, Name: "transfer", Table: table, CSteps: csteps},
 		{ID: 3, Op: OpRun, Name: "", Table: table, CSteps: csteps},
 		{ID: 4, Op: OpOpen, Name: "empty"}, // empty declared body
-		{ID: 5, Op: OpStep, SID: 9, Attempt: 2, CStep: model.CompactStep{Op: model.Write, Idx: 1}, HasCompact: true},
+		{ID: 5, Op: OpStep, SID: 9, Attempt: 2, CStep: model.CompactStep{Op: model.Write, Idx: 1}},
 		{ID: 6, Op: OpCommit, SID: 9, Attempt: 2},
 		{ID: 7, Op: OpAbort, SID: 9},
 		{ID: 8, Op: OpStats},
@@ -64,7 +63,6 @@ func binaryRoundTripReqs(t *testing.T, reqs []Request) []Request {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetCodec(CodecBinary)
 	if err := w.WriteRequests(reqs); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -72,7 +70,6 @@ func binaryRoundTripReqs(t *testing.T, reqs []Request) []Request {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
-	r.SetCodec(CodecBinary)
 	var got []Request
 	for len(got) < len(reqs) {
 		batch, err := r.ReadRequests()
@@ -88,7 +85,6 @@ func binaryRoundTripResps(t *testing.T, resps []Response) []Response {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetCodec(CodecBinary)
 	if err := w.WriteResponses(resps); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -96,7 +92,6 @@ func binaryRoundTripResps(t *testing.T, resps []Response) []Response {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
-	r.SetCodec(CodecBinary)
 	var got []Response
 	for len(got) < len(resps) {
 		batch, err := r.ReadResponses()
@@ -128,47 +123,6 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecSwitchMidStream pins the negotiation mechanics: a
-// stream that starts JSON and switches to binary after the hello frame
-// decodes cleanly when the reader switches at the same boundary.
-func TestBinaryCodecSwitchMidStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	hello := Request{ID: 1, Op: OpHello, Version: Version}
-	if err := w.WriteRequests([]Request{hello}); err != nil {
-		t.Fatal(err)
-	}
-	w.SetCodec(CodecBinary)
-	rest := []Request{{ID: 2, Op: OpCommit, SID: 5}, {ID: 3, Op: OpAbort, SID: 5}}
-	if err := w.WriteRequests(rest); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewReader(&buf)
-	first, err := r.ReadRequests()
-	if err != nil {
-		t.Fatalf("JSON hello: %v", err)
-	}
-	if len(first) != 1 || !reflect.DeepEqual(first[0], hello) {
-		t.Fatalf("hello = %+v", first)
-	}
-	r.SetCodec(CodecBinary)
-	var got []Request
-	for len(got) < len(rest) {
-		batch, err := r.ReadRequests()
-		if err != nil {
-			t.Fatalf("binary tail: %v", err)
-		}
-		got = append(got, batch...)
-	}
-	if !reflect.DeepEqual(got, rest) {
-		t.Fatalf("tail = %+v, want %+v", got, rest)
-	}
-}
-
 // frame wraps a payload in the 4-byte big-endian length header.
 func frame(payload []byte) []byte {
 	out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
@@ -180,7 +134,7 @@ func validStepPayload(t *testing.T) []byte {
 	t.Helper()
 	payload := []byte{binMagic, 1}
 	payload, err := appendRequest(payload, &Request{ID: 7, Op: OpStep, SID: 3,
-		CStep: model.CompactStep{Op: model.Read, Idx: 0}, HasCompact: true})
+		CStep: model.CompactStep{Op: model.Read, Idx: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +146,7 @@ func validStepPayload(t *testing.T) []byte {
 func TestBinaryMangledFramesFailCleanly(t *testing.T) {
 	good := validStepPayload(t)
 	readFrom := func(stream []byte) ([]Request, error) {
-		r := NewReader(bytes.NewReader(stream))
-		r.SetCodec(CodecBinary)
-		return r.ReadRequests()
+		return NewReader(bytes.NewReader(stream)).ReadRequests()
 	}
 	if _, err := readFrom(frame(good)); err != nil {
 		t.Fatalf("control: %v", err)
@@ -245,8 +197,8 @@ func TestBinaryMangledFramesFailCleanly(t *testing.T) {
 }
 
 // TestBinaryUnencodable pins the encoder's refusal to ship malformed
-// messages: step text where the compact form is required, and responses
-// whose field combinations have no binary representation.
+// messages: unknown ops, and responses whose field combinations have
+// no encoding.
 func TestBinaryUnencodable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -254,14 +206,6 @@ func TestBinaryUnencodable(t *testing.T) {
 	}{
 		{"unknown op", func() error {
 			_, err := appendRequest(nil, &Request{Op: "bogus"})
-			return err
-		}},
-		{"open with step texts only", func() error {
-			_, err := appendRequest(nil, &Request{Op: OpOpen, Txn: []string{"(LX a)"}})
-			return err
-		}},
-		{"step without compact form", func() error {
-			_, err := appendRequest(nil, &Request{Op: OpStep, Step: "(LX a)"})
 			return err
 		}},
 		{"OK with refusal fields", func() error {

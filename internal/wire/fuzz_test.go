@@ -1,43 +1,28 @@
 package wire
 
-// FuzzCodecRoundTrip feeds arbitrary bytes to the binary decoder as a
-// frame payload. The properties under test:
+// FuzzCodecRoundTrip feeds arbitrary bytes to the decoder as a frame
+// payload. The properties under test:
 //
 //  1. Clean failure: malformed payloads produce errors, never panics,
 //     hangs, or out-of-bounds reads (the cursor bounds-checks every
 //     primitive).
-//  2. Idempotence: any payload that decodes must re-encode under the
-//     binary codec and decode again to the identical value — the
-//     decoder accepts nothing the encoder cannot faithfully ship.
-//  3. Codec agreement: any decoded message that is representable in
-//     JSON (all strings valid UTF-8; compact bodies resolvable) must
-//     survive the v2 JSON codec with the same declared semantics.
+//  2. Idempotence: any payload that decodes must re-encode and decode
+//     again to the identical value — the decoder accepts nothing the
+//     encoder cannot faithfully ship.
 //
 // The seed corpus is built from the encoder, so every op, code and
-// flag combination round-trips under both codecs from the first run;
-// the fuzzer then mutates those valid frames into near-valid ones —
-// exactly the byte-mangled frames a sick peer would produce.
+// flag combination round-trips from the first run; the fuzzer then
+// mutates those valid frames into near-valid ones — exactly the
+// byte-mangled frames a sick peer would produce.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"testing"
-	"unicode/utf8"
-
-	"locksafe/internal/model"
 )
 
-// fuzzFrame wraps payload bytes in the length header the Reader expects.
-func fuzzFrame(payload []byte) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	return append(out, payload...)
-}
-
 func fuzzReadReqs(stream []byte) ([]Request, error) {
-	r := NewReader(bytes.NewReader(stream))
-	r.SetCodec(CodecBinary)
-	reqs, err := r.ReadRequests()
+	reqs, err := NewReader(bytes.NewReader(stream)).ReadRequests()
 	if err != nil {
 		return nil, err
 	}
@@ -47,9 +32,7 @@ func fuzzReadReqs(stream []byte) ([]Request, error) {
 }
 
 func fuzzReadResps(stream []byte) ([]Response, error) {
-	r := NewReader(bytes.NewReader(stream))
-	r.SetCodec(CodecBinary)
-	resps, err := r.ReadResponses()
+	resps, err := NewReader(bytes.NewReader(stream)).ReadResponses()
 	if err != nil {
 		return nil, err
 	}
@@ -58,13 +41,12 @@ func fuzzReadResps(stream []byte) ([]Response, error) {
 	return out, nil
 }
 
-func fuzzEncodeReqs(t *testing.T, reqs []Request, c Codec) []byte {
+func fuzzEncodeReqs(t *testing.T, reqs []Request) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetCodec(c)
 	if err := w.WriteRequests(reqs); err != nil {
-		t.Fatalf("%v re-encode of decoded requests failed: %v", c, err)
+		t.Fatalf("re-encode of decoded requests failed: %v", err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -72,82 +54,17 @@ func fuzzEncodeReqs(t *testing.T, reqs []Request, c Codec) []byte {
 	return buf.Bytes()
 }
 
-func fuzzEncodeResps(t *testing.T, resps []Response, c Codec) []byte {
+func fuzzEncodeResps(t *testing.T, resps []Response) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.SetCodec(c)
 	if err := w.WriteResponses(resps); err != nil {
-		t.Fatalf("%v re-encode of decoded responses failed: %v", c, err)
+		t.Fatalf("re-encode of decoded responses failed: %v", err)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// reqUTF8 reports whether every string field survives JSON unchanged.
-func reqUTF8(r *Request) bool {
-	if !utf8.ValidString(r.Op) || !utf8.ValidString(r.Name) || !utf8.ValidString(r.Step) {
-		return false
-	}
-	for _, e := range r.Table {
-		if !utf8.ValidString(string(e)) {
-			return false
-		}
-	}
-	for _, s := range r.Txn {
-		if !utf8.ValidString(s) {
-			return false
-		}
-	}
-	return true
-}
-
-func respUTF8(r *Response) bool {
-	if !utf8.ValidString(r.Code) || !utf8.ValidString(r.Err) || !utf8.ValidString(r.Policy) {
-		return false
-	}
-	if r.Inspect != nil {
-		i := r.Inspect
-		if !utf8.ValidString(i.Log) || !utf8.ValidString(i.State) || !utf8.ValidString(i.MonitorKey) {
-			return false
-		}
-	}
-	return true
-}
-
-// jsonTwin converts a binary-decoded request into its JSON-codec form:
-// compact bodies become step texts, compact steps become step strings.
-// Returns ok=false when the request has no JSON representation (body
-// indices out of range — the server refuses those anyway, so the JSON
-// leg has nothing to agree with).
-func jsonTwin(r Request) (Request, bool) {
-	twin := r
-	twin.Table, twin.CSteps, twin.CStep, twin.HasCompact = nil, nil, model.CompactStep{}, false
-	switch r.Op {
-	case OpOpen, OpRun, OpResume:
-		if r.Table != nil || r.CSteps != nil {
-			steps, err := model.ExpandCompact(r.Table, r.CSteps)
-			if err != nil {
-				return Request{}, false
-			}
-			if len(steps) > 0 {
-				// omitempty drops an empty body, so a non-nil empty Txn
-				// would not survive JSON; leave it nil, as a JSON client
-				// would.
-				twin.Txn = EncodeSteps(steps)
-			}
-		}
-	case OpStep:
-		if r.HasCompact {
-			// A compact step names an index into a table the step frame
-			// does not carry; synthesize a placeholder entity purely to
-			// exercise the JSON leg's framing.
-			twin.Step = model.Step{Op: r.CStep.Op, Ent: "e"}.String()
-		}
-	}
-	return twin, true
 }
 
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -182,55 +99,25 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if len(payload) > MaxFrame {
 			return
 		}
-		stream := fuzzFrame(payload)
+		stream := frame(payload)
 
 		if reqs, err := fuzzReadReqs(stream); err == nil {
-			// Idempotence under binary.
-			again, err := fuzzReadReqs(fuzzEncodeReqs(t, reqs, CodecBinary))
+			again, err := fuzzReadReqs(fuzzEncodeReqs(t, reqs))
 			if err != nil {
-				t.Fatalf("binary re-decode: %v", err)
+				t.Fatalf("re-decode: %v", err)
 			}
 			if !reflect.DeepEqual(again, reqs) {
-				t.Fatalf("binary round trip changed requests:\n got %+v\nwant %+v", again, reqs)
-			}
-			// Codec agreement under JSON where representable.
-			for i := range reqs {
-				if !reqUTF8(&reqs[i]) {
-					continue
-				}
-				twin, ok := jsonTwin(reqs[i])
-				if !ok {
-					continue
-				}
-				var back Request
-				if err := ReadFrame(bytes.NewReader(fuzzEncodeReqs(t, []Request{twin}, CodecJSON)), &back); err != nil {
-					t.Fatalf("JSON decode of twin: %v", err)
-				}
-				if !reflect.DeepEqual(back, twin) {
-					t.Fatalf("JSON round trip changed request:\n got %+v\nwant %+v", back, twin)
-				}
+				t.Fatalf("round trip changed requests:\n got %+v\nwant %+v", again, reqs)
 			}
 		}
 
 		if resps, err := fuzzReadResps(stream); err == nil {
-			again, err := fuzzReadResps(fuzzEncodeResps(t, resps, CodecBinary))
+			again, err := fuzzReadResps(fuzzEncodeResps(t, resps))
 			if err != nil {
-				t.Fatalf("binary re-decode: %v", err)
+				t.Fatalf("re-decode: %v", err)
 			}
 			if !reflect.DeepEqual(again, resps) {
-				t.Fatalf("binary round trip changed responses:\n got %+v\nwant %+v", again, resps)
-			}
-			for i := range resps {
-				if !respUTF8(&resps[i]) {
-					continue
-				}
-				var back Response
-				if err := ReadFrame(bytes.NewReader(fuzzEncodeResps(t, []Response{resps[i]}, CodecJSON)), &back); err != nil {
-					t.Fatalf("JSON decode: %v", err)
-				}
-				if !reflect.DeepEqual(back, resps[i]) {
-					t.Fatalf("JSON round trip changed response:\n got %+v\nwant %+v", back, resps[i])
-				}
+				t.Fatalf("round trip changed responses:\n got %+v\nwant %+v", again, resps)
 			}
 		}
 	})

@@ -10,222 +10,87 @@ import (
 	"locksafe/internal/model"
 )
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := Request{ID: 7, Op: OpOpen, Name: "T1", Txn: []string{"(LX a)", "(W a)", "(UX a)"}}
-	if err := WriteFrame(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.ID != in.ID || out.Op != in.Op || out.Name != in.Name || len(out.Txn) != 3 || out.Txn[1] != "(W a)" {
-		t.Fatalf("round trip mangled: %+v", out)
-	}
-}
-
+// TestFrameOversizeRejected pins MaxFrame in both directions: a header
+// announcing more than MaxFrame payload bytes is refused before any
+// payload is read, and a single message that alone exceeds MaxFrame is
+// unsendable.
 func TestFrameOversizeRejected(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
-	err := ReadFrame(bytes.NewReader(hdr[:]), &Request{})
-	if err == nil || !strings.Contains(err.Error(), "MaxFrame") {
-		t.Fatalf("oversize frame accepted: %v", err)
+	if _, err := NewReader(bytes.NewReader(hdr[:])).ReadRequests(); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+		t.Fatalf("oversize request frame accepted: %v", err)
 	}
-	big := Request{Step: strings.Repeat("x", MaxFrame)}
-	if err := WriteFrame(&bytes.Buffer{}, big); err == nil {
-		t.Fatal("oversize write accepted")
+	if _, err := NewReader(bytes.NewReader(hdr[:])).ReadResponses(); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+		t.Fatalf("oversize response frame accepted: %v", err)
 	}
-}
-
-func TestFrameTruncated(t *testing.T) {
-	// Truncated header: fewer than 4 length bytes.
-	err := ReadFrame(bytes.NewReader([]byte{0, 0}), &Request{})
-	if err == nil {
-		t.Fatal("truncated header accepted")
+	big := strings.Repeat("x", MaxFrame)
+	w := NewWriter(&bytes.Buffer{})
+	if err := w.WriteRequests([]Request{{Op: OpOpen, Name: big}}); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+		t.Fatalf("oversize request write accepted: %v", err)
 	}
-	// Truncated payload: header promises more bytes than follow.
-	var buf bytes.Buffer
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 100)
-	buf.Write(hdr[:])
-	buf.WriteString(`{"id":1`)
-	if err := ReadFrame(&buf, &Request{}); err != io.ErrUnexpectedEOF {
-		t.Fatalf("truncated payload = %v, want ErrUnexpectedEOF", err)
-	}
-	// The batch readers hit the same payload path.
-	buf.Reset()
-	buf.Write(hdr[:])
-	buf.WriteString(`[{"id":1}`)
-	if _, err := ReadRequestBatch(&buf); err != io.ErrUnexpectedEOF {
-		t.Fatalf("truncated batch payload = %v, want ErrUnexpectedEOF", err)
-	}
-}
-
-func TestFrameMalformedJSON(t *testing.T) {
-	write := func(s string) *bytes.Buffer {
-		var buf bytes.Buffer
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(s)))
-		buf.Write(hdr[:])
-		buf.WriteString(s)
-		return &buf
-	}
-	if err := ReadFrame(write(`{"id":`), &Request{}); err == nil {
-		t.Fatal("malformed object accepted")
-	}
-	if _, err := ReadRequestBatch(write(`{"id":`)); err == nil {
-		t.Fatal("malformed object accepted by batch reader")
-	}
-	if _, err := ReadRequestBatch(write(`[{"id":1},`)); err == nil {
-		t.Fatal("malformed array accepted by batch reader")
-	}
-	if _, err := ReadResponseBatch(write(`not json`)); err == nil {
-		t.Fatal("garbage accepted by response batch reader")
-	}
-	// An empty batch frame carries no message to answer — protocol error.
-	if _, err := ReadRequestBatch(write(`[]`)); err == nil || !strings.Contains(err.Error(), "empty batch") {
-		t.Fatalf("empty batch = %v, want empty-batch error", err)
-	}
-	if _, err := ReadResponseBatch(write(`  [ ]`)); err == nil || !strings.Contains(err.Error(), "empty batch") {
-		t.Fatalf("empty response batch = %v, want empty-batch error", err)
-	}
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{ID: 1, Op: OpStep, SID: 9, Step: "(LX a)", Attempt: 2},
-		{ID: 2, Op: OpStep, SID: 9, Step: "(W a)", Attempt: 2},
-		{ID: 3, Op: OpCommit, SID: 9, Attempt: 2},
-	}
-	var buf bytes.Buffer
-	if err := WriteRequestBatch(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadRequestBatch(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || out[0].ID != 1 || out[0].Step != "(LX a)" || out[0].Attempt != 2 ||
-		out[2].Op != OpCommit || out[2].SID != 9 {
-		t.Fatalf("batch round trip mangled: %+v", out)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("burst used more than one frame: %d bytes left", buf.Len())
-	}
-
-	// A lone message travels as a bare object, readable by the
-	// non-batching ReadFrame — transcript compatibility.
-	buf.Reset()
-	if err := WriteResponseBatch(&buf, []Response{{ID: 4, OK: true}}); err != nil {
-		t.Fatal(err)
-	}
-	var one Response
-	if err := ReadFrame(&buf, &one); err != nil {
-		t.Fatal(err)
-	}
-	if one.ID != 4 || !one.OK {
-		t.Fatalf("lone batch message mangled: %+v", one)
-	}
-}
-
-func TestBatchGreedySplit(t *testing.T) {
-	// Each request marshals to roughly MaxFrame/3 bytes, so four of them
-	// cannot share one frame: the writer must split, and every frame must
-	// still parse on the other end.
-	big := strings.Repeat("x", MaxFrame/3)
-	reqs := make([]Request, 4)
-	for i := range reqs {
-		reqs[i] = Request{ID: uint64(i + 1), Op: OpStep, Step: big}
-	}
-	var buf bytes.Buffer
-	if err := WriteRequestBatch(&buf, reqs); err != nil {
-		t.Fatal(err)
-	}
-	var got []Request
-	frames := 0
-	for buf.Len() > 0 {
-		part, err := ReadRequestBatch(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", frames, err)
-		}
-		frames++
-		got = append(got, part...)
-	}
-	if frames < 2 {
-		t.Fatalf("oversized burst packed into %d frame(s)", frames)
-	}
-	if len(got) != len(reqs) {
-		t.Fatalf("split lost messages: got %d of %d", len(got), len(reqs))
-	}
-	for i := range got {
-		if got[i].ID != reqs[i].ID || len(got[i].Step) != len(big) {
-			t.Fatalf("message %d mangled after split", i)
-		}
-	}
-
-	// A single message that alone exceeds MaxFrame is unsendable.
-	huge := []Request{{ID: 1, Op: OpStep, Step: strings.Repeat("x", MaxFrame)}}
-	if err := WriteRequestBatch(&bytes.Buffer{}, huge); err == nil {
-		t.Fatal("oversized single message accepted by batch writer")
+	if err := w.WriteResponses([]Response{{Code: CodeBadReq, Err: big}}); err == nil || !strings.Contains(err.Error(), "MaxFrame") {
+		t.Fatalf("oversize response write accepted: %v", err)
 	}
 }
 
 // TestBatchMidFrameDrop sweeps every possible cut point of a real batch
 // frame — the byte-exact truncations the chaos proxy's kill plan
 // produces when a connection dies mid-send: a header-only write, a cut
-// inside the header, and a cut inside any array element. Whatever the
-// offset, the reader must fail cleanly (no partial batch, no hang, no
-// panic); once the header has arrived in full, the failure must be
-// io.ErrUnexpectedEOF so the server can tell a mid-frame death from a
-// clean between-frames close (io.EOF).
+// inside the header, and a cut inside any message. Whatever the offset,
+// the reader must fail cleanly (no partial batch, no hang, no panic);
+// a cut before the first byte is a clean between-frames close
+// (io.EOF), and any cut after it is io.ErrUnexpectedEOF, so the server
+// can tell a mid-frame death from a clean close.
 func TestBatchMidFrameDrop(t *testing.T) {
+	table, csteps := model.CompactTxn([]model.Step{model.LX("a"), model.W("a"), model.UX("a")})
 	reqs := []Request{
-		{ID: 1, Op: OpOpen, Name: "T1", Txn: []string{"(LX a)", "(W a)", "(UX a)"}},
-		{ID: 2, Op: OpStep, SID: 7, Step: "(LX a)", Attempt: 1},
+		{ID: 1, Op: OpOpen, Name: "T1", Table: table, CSteps: csteps},
+		{ID: 2, Op: OpStep, SID: 7, CStep: csteps[0], Attempt: 1},
 		{ID: 3, Op: OpCommit, SID: 7, Attempt: 1},
 	}
 	var buf bytes.Buffer
-	if err := WriteRequestBatch(&buf, reqs); err != nil {
+	w := NewWriter(&buf)
+	if err := w.WriteRequests(reqs); err != nil {
 		t.Fatal(err)
 	}
-	frame := buf.Bytes()
-	if got, err := ReadRequestBatch(bytes.NewReader(frame)); err != nil || len(got) != 3 {
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	frame := bytes.Clone(buf.Bytes())
+	if got, err := NewReader(bytes.NewReader(frame)).ReadRequests(); err != nil || len(got) != 3 {
 		t.Fatalf("full frame: got %d requests, err %v", len(got), err)
 	}
 	for cut := 0; cut < len(frame); cut++ {
-		got, err := ReadRequestBatch(bytes.NewReader(frame[:cut]))
+		got, err := NewReader(bytes.NewReader(frame[:cut])).ReadRequests()
 		if err == nil {
 			t.Fatalf("cut at byte %d of %d: reader returned %d requests from a truncated frame", cut, len(frame), len(got))
 		}
-		switch {
-		case cut == 0:
-			if err != io.EOF {
-				t.Fatalf("cut before any byte = %v, want io.EOF (clean close)", err)
-			}
-		case cut >= 4:
-			// Header complete, payload cut mid-element: the unmistakable
-			// mid-frame death.
-			if err != io.ErrUnexpectedEOF {
-				t.Fatalf("cut at byte %d = %v, want io.ErrUnexpectedEOF", cut, err)
-			}
-		default:
-			// Cut inside the header itself.
-			if err != io.ErrUnexpectedEOF {
-				t.Fatalf("cut inside header at byte %d = %v, want io.ErrUnexpectedEOF", cut, err)
-			}
+		want := io.ErrUnexpectedEOF
+		if cut == 0 {
+			want = io.EOF
+		}
+		if err != want {
+			t.Fatalf("cut at byte %d of %d = %v, want %v", cut, len(frame), err, want)
 		}
 	}
 
 	// The response direction dies the same way.
 	buf.Reset()
-	if err := WriteResponseBatch(&buf, []Response{{ID: 1, OK: true}, {ID: 2, OK: false, Code: CodeAborted}}); err != nil {
+	if err := w.WriteResponses([]Response{{ID: 1, OK: true}, {ID: 2, Code: CodeAborted, Err: "stale"}}); err != nil {
 		t.Fatal(err)
 	}
-	frame = buf.Bytes()
-	for _, cut := range []int{4, len(frame) / 2, len(frame) - 1} {
-		if _, err := ReadResponseBatch(bytes.NewReader(frame[:cut])); err != io.ErrUnexpectedEOF {
-			t.Fatalf("response cut at byte %d = %v, want io.ErrUnexpectedEOF", cut, err)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	frame = bytes.Clone(buf.Bytes())
+	for cut := 0; cut < len(frame); cut++ {
+		_, err := NewReader(bytes.NewReader(frame[:cut])).ReadResponses()
+		want := io.ErrUnexpectedEOF
+		if cut == 0 {
+			want = io.EOF
+		}
+		if err != want {
+			t.Fatalf("response cut at byte %d of %d = %v, want %v", cut, len(frame), err, want)
 		}
 	}
 
@@ -234,24 +99,7 @@ func TestBatchMidFrameDrop(t *testing.T) {
 	// boundary.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 64)
-	if _, err := ReadRequestBatch(bytes.NewReader(hdr[:])); err != io.ErrUnexpectedEOF {
+	if _, err := NewReader(bytes.NewReader(hdr[:])).ReadRequests(); err != io.ErrUnexpectedEOF {
 		t.Fatalf("header-only frame = %v, want io.ErrUnexpectedEOF", err)
-	}
-}
-
-func TestStepCodec(t *testing.T) {
-	steps := []model.Step{model.LX("a"), model.W("a"), model.UX("a"), model.LS("b"), model.R("b"), model.US("b"), model.I("c"), model.D("c")}
-	texts := EncodeSteps(steps)
-	back, err := DecodeSteps(texts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range steps {
-		if back[i] != steps[i] {
-			t.Fatalf("step %d: %v != %v", i, back[i], steps[i])
-		}
-	}
-	if _, err := DecodeSteps([]string{"(BOGUS a)"}); err == nil {
-		t.Fatal("bogus op accepted")
 	}
 }

@@ -20,18 +20,18 @@ const maxInflight = 96
 type Session struct {
 	c   *Client
 	sid uint64
-	// token is the resume token the open response carried (protocol
-	// version 4; zero under earlier versions): the credential a later
-	// Resume presents to reattach this session after a lost connection.
+	// token is the resume token the open response carried: the
+	// credential a later Resume presents to reattach this session after
+	// a lost connection.
 	token uint64
 	tx    model.Txn
 
-	// Compact encoding state (binary codec only): the entity table as
-	// declared to the server at open, the declared body in compact form,
-	// and the entity→index map for sync Step lookups. Step requests ship
-	// (opByte, entityIndex) against this table; the server resolves
-	// indices against its own copy, so both orders must be the declared
-	// one — they are, both sides keep the open request's table verbatim.
+	// Compact encoding state: the entity table as declared to the server
+	// at open, the declared body in compact form, and the entity→index
+	// map for sync Step lookups. Step requests ship (opByte, entityIndex)
+	// against this table; the server resolves indices against its own
+	// copy, so both orders must be the declared one — they are, both
+	// sides keep the open request's table verbatim.
 	table  []model.Entity
 	csteps []model.CompactStep
 	index  map[model.Entity]uint32
@@ -58,18 +58,7 @@ type inflightOp struct {
 // Open declares a transaction on the server and returns its session.
 func (c *Client) Open(tx model.Txn) (*Session, error) {
 	s := &Session{c: c, tx: tx.Clone()}
-	req := wire.Request{Op: wire.OpOpen, Name: tx.Name}
-	if c.binary() {
-		s.table, s.csteps = model.CompactTxn(s.tx.Steps)
-		req.Table, req.CSteps = s.table, s.csteps
-		s.index = make(map[model.Entity]uint32, len(s.table))
-		for i, e := range s.table {
-			s.index[e] = uint32(i)
-		}
-	} else {
-		req.Txn = wire.EncodeSteps(tx.Steps)
-	}
-	resp, err := c.roundTrip(req)
+	resp, err := c.roundTrip(s.declare(wire.Request{Op: wire.OpOpen, Name: tx.Name}))
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +67,21 @@ func (c *Client) Open(tx model.Txn) (*Session, error) {
 	return s, nil
 }
 
+// declare builds the session's compact encoding state from its declared
+// body and attaches the body to an open or resume request.
+func (s *Session) declare(req wire.Request) wire.Request {
+	s.table, s.csteps = model.CompactTxn(s.tx.Steps)
+	req.Table, req.CSteps = s.table, s.csteps
+	s.index = make(map[model.Entity]uint32, len(s.table))
+	for i, e := range s.table {
+		s.index[e] = uint32(i)
+	}
+	return req
+}
+
 // Resume reattaches a session parked server-side — typically by a lost
-// connection (the server parks a version 4 connection's sessions
-// instead of aborting them) — on this client's connection. prev is the
+// connection (the server parks a connection's sessions instead of
+// aborting them) — on this client's connection. prev is the
 // parked session's handle, usually from a now-dead Client: its sid,
 // resume token and declared body identify and re-arm the session. The
 // returned session is fresh, positioned at the first declared step with
@@ -90,18 +91,8 @@ func (c *Client) Open(tx model.Txn) (*Session, error) {
 // session that is gone — finished, or its lease expired — wraps
 // ErrAborted, and reopening is the only way forward.
 func (c *Client) Resume(prev *Session) (*Session, error) {
-	if c.version < wire.Version {
-		return nil, fmt.Errorf("%w: resume requires protocol version %d", ErrProtocol, wire.Version)
-	}
 	s := &Session{c: c, sid: prev.sid, token: prev.token, tx: prev.tx.Clone()}
-	req := wire.Request{Op: wire.OpResume, Name: s.tx.Name, SID: s.sid, Token: s.token}
-	s.table, s.csteps = model.CompactTxn(s.tx.Steps)
-	req.Table, req.CSteps = s.table, s.csteps
-	s.index = make(map[model.Entity]uint32, len(s.table))
-	for i, e := range s.table {
-		s.index[e] = uint32(i)
-	}
-	resp, err := c.roundTrip(req)
+	resp, err := c.roundTrip(s.declare(wire.Request{Op: wire.OpResume, Name: s.tx.Name, SID: s.sid, Token: s.token}))
 	if err != nil {
 		return nil, err
 	}
@@ -114,13 +105,12 @@ func (c *Client) Resume(prev *Session) (*Session, error) {
 // Declared returns the session's declared transaction.
 func (s *Session) Declared() model.Txn { return s.tx }
 
-// SID returns the server-assigned session id: under protocol version 4
-// an engine-wide id that survives the connection (the handle Resume
-// presents), under earlier versions a per-connection counter.
+// SID returns the server-assigned session id: an engine-wide id that
+// survives the connection (the handle Resume presents).
 func (s *Session) SID() uint64 { return s.sid }
 
-// Token returns the resume token issued at open (protocol version 4;
-// zero under earlier versions).
+// Token returns the resume token issued at open: the credential Resume
+// presents.
 func (s *Session) Token() uint64 { return s.token }
 
 // Step submits the next declared step and waits for its admission. On
@@ -131,21 +121,16 @@ func (s *Session) Step(st model.Step) error {
 	if len(s.inflight) > 0 {
 		return fmt.Errorf("%w: sync Step with pipelined requests in flight; Flush first", ErrProtocol)
 	}
-	req := wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt}
-	if s.c.binary() {
-		idx, ok := s.index[st.Ent]
-		if !ok {
-			// The binary codec can only name declared entities; a step
-			// outside the table cannot be the declared next step, so this
-			// is the same refusal the server would answer with — and like
-			// the server's, it leaves the session untouched.
-			return fmt.Errorf("%w: step %s names an entity outside the declared body", ErrStepMismatch, st)
-		}
-		req.CStep, req.HasCompact = model.CompactStep{Op: st.Op, Idx: idx}, true
-	} else {
-		req.Step = st.String()
+	idx, ok := s.index[st.Ent]
+	if !ok {
+		// The wire can only name declared entities; a step outside the
+		// table cannot be the declared next step, so this is the same
+		// refusal the server would answer with — and like the server's,
+		// it leaves the session untouched.
+		return fmt.Errorf("%w: step %s names an entity outside the declared body", ErrStepMismatch, st)
 	}
-	_, err := s.c.roundTrip(req)
+	_, err := s.c.roundTrip(wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt,
+		CStep: model.CompactStep{Op: st.Op, Idx: idx}})
 	if err == nil {
 		s.pos++
 		s.sent = s.pos
@@ -202,13 +187,7 @@ func (s *Session) StepAsync() error {
 			return err
 		}
 	}
-	req := wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt}
-	if s.c.binary() {
-		req.CStep, req.HasCompact = s.csteps[s.sent], true
-	} else {
-		req.Step = s.tx.Steps[s.sent].String()
-	}
-	id, ch, err := s.c.send(req)
+	id, ch, err := s.c.send(wire.Request{Op: wire.OpStep, SID: s.sid, Attempt: s.attempt, CStep: s.csteps[s.sent]})
 	if err != nil {
 		return err
 	}
